@@ -19,7 +19,9 @@ import io
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 __all__ = [
     "Finding",
@@ -150,6 +152,15 @@ class Project:
     def __init__(self, modules: Sequence[ModuleInfo]):
         self.modules: List[ModuleInfo] = sorted(modules, key=lambda m: m.rel)
         self.by_name: Dict[str, ModuleInfo] = {m.name: m for m in self.modules}
+        self._memo: Dict[Callable, object] = {}
+
+    def memo(self, build: Callable[["Project"], object]):
+        """``build(self)``, computed once per project: whole-program
+        facts a per-module rule needs, without re-walking every module
+        for each one it checks."""
+        if build not in self._memo:
+            self._memo[build] = build(self)
+        return self._memo[build]
 
     def find(self, *suffix: str) -> Optional[ModuleInfo]:
         """The first module whose dotted parts end with ``suffix``."""

@@ -127,7 +127,7 @@ class FrozenDataclassRule(Rule):
                "defining module")
 
     def check_module(self, module: ModuleInfo, project: Project) -> Iterator[Finding]:
-        guarded = _guarded_classes(project)
+        guarded = project.memo(_guarded_classes)
         if not guarded:
             return
         imports = ImportMap(module)

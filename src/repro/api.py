@@ -6,7 +6,8 @@ through three names:
 
 * :class:`Scenario` — a declarative description of one simulated
   MapReduce experiment (workload, testbed shape, scheduler plan,
-  optional faults);
+  optional faults); :class:`ControlledScenario` is the same run with
+  the online controller choosing the plan;
 * :func:`simulate` — run one scenario in-process and get a
   :class:`RunResult` (decoded job result + payload + event/wall counts);
 * :func:`sweep` — run many ``(scenario, seed)`` combinations through
@@ -16,10 +17,6 @@ The facade is a thin veneer: a ``Scenario`` lowers to exactly the
 :class:`~repro.runner.spec.RunSpec` the experiment suite has always
 produced, so payloads and on-disk cache keys are bit-identical whether
 a run comes from here, from ``repro.experiments``, or from the CLI.
-
-The calibrated-testbed helpers (``scaled_testbed`` and friends) moved
-here from ``repro.experiments.common``; the old module re-exports them
-with a :class:`DeprecationWarning`.
 
 Quickstart::
 
@@ -37,20 +34,25 @@ import time
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from .core.experiment import JobRunner, TestbedConfig
+from .core.experiment import (
+    JobAssembly,
+    TestbedConfig,
+    assemble_cluster,
+    assemble_job,
+)
 from .core.solution import Solution
 from .ctrl.config import CtrlConfig
 from .ctrl.policies import resolve_policy
 from .disk.backend import UnknownStorageError, resolve_storage
 from .faults.plan import FaultPlan
-from .hdfs.namenode import NameNode
 from .mapreduce.job import MB, JobConfig, JobSpec
-from .mapreduce.jobtracker import MapReduceJob
 from .mapreduce.multijob import JOB_SCHEDULERS, MultiJobConfig, SwitchPlan
 from .mapreduce.phases import JobResult
-from .net.topology import Topology
-from .sim.core import Environment, finish_event_census, start_event_census
-from .virt.cluster import ClusterConfig, VirtualCluster
+from .runner.kinds import _execute_job, _reset_run_ids
+from .runner.spec import RunSpec
+from .runner.sweep import SweepRunner
+from .sim.core import finish_event_census, start_event_census
+from .virt.cluster import ClusterConfig
 from .virt.pagecache import PageCacheParams
 from .virt.pair import DEFAULT_PAIR, SchedulerPair
 from .workloads import benchmark
@@ -78,7 +80,7 @@ __all__ = [
 ]
 
 
-# -- the calibrated testbed (moved from repro.experiments.common) ---------------------
+# -- the calibrated testbed ----------------------------------------------------------
 #
 # All experiments run on one calibrated testbed matching the paper's:
 # 4 hosts × 4 VMs, 1 TB SATA per host, 1 Gb/s NICs, Hadoop 0.19 slot
@@ -214,74 +216,6 @@ def scaled_testbed(
     )
 
 
-# -- low-level assembly --------------------------------------------------------------
-
-
-@dataclass
-class JobAssembly:
-    """Everything one simulated MapReduce run is built from.
-
-    ``env.run(until=assembly.job.start())`` executes the job; the other
-    members stay reachable for instrumentation (per-device stats,
-    controller attachment, elevator knockouts) between assembly and run.
-    """
-
-    env: Environment
-    cluster: VirtualCluster
-    topology: Topology
-    namenode: NameNode
-    job: MapReduceJob
-
-
-def assemble_cluster(
-    cluster_config: ClusterConfig,
-    seed: Optional[int] = None,
-    trace=None,
-    storage: Optional[str] = None,
-) -> Tuple[Environment, VirtualCluster]:
-    """Fresh environment + virtual cluster (the bottom half of a run).
-
-    ``storage`` overrides the config's backend by registry name
-    (hdd/ssd/hybrid); unknown names raise
-    :class:`~repro.disk.backend.UnknownStorageError` listing what is
-    registered.
-    """
-    env = Environment(trace=trace)
-    if seed is not None:
-        cluster_config = cluster_config.with_(seed=seed)
-    if storage is not None:
-        cluster_config = cluster_config.with_(storage=resolve_storage(storage))
-    cluster = VirtualCluster(env, cluster_config, trace=trace)
-    return env, cluster
-
-
-def assemble_job(
-    cluster_config: ClusterConfig,
-    job_config: JobConfig,
-    seed: Optional[int] = None,
-    trace=None,
-    fault_plan: Optional[FaultPlan] = None,
-    replication: Optional[int] = None,
-) -> JobAssembly:
-    """Wire up one MapReduce run: env, cluster, network, HDFS, job.
-
-    This is the construction sequence previously copy-pasted across the
-    run kinds and examples; every keyword defaults to what those call
-    sites passed, so routing them through here is behaviour-preserving.
-    """
-    env, cluster = assemble_cluster(cluster_config, seed=seed, trace=trace)
-    topology = Topology(env)
-    if replication is None:
-        namenode = NameNode(cluster, block_size=job_config.block_size)
-    else:
-        namenode = NameNode(cluster, block_size=job_config.block_size,
-                            replication=replication)
-    job = MapReduceJob(env, cluster, topology, namenode, job_config,
-                       trace=trace, fault_plan=fault_plan)
-    return JobAssembly(env=env, cluster=cluster, topology=topology,
-                       namenode=namenode, job=job)
-
-
 # -- the scenario builder ------------------------------------------------------------
 
 
@@ -300,8 +234,55 @@ def _validate_storage(
         resolve_storage(name)
 
 
+class _ScenarioBase:
+    """What the frozen scenario facades share: ``with_`` and workload
+    resolution (``"sort"`` or an explicit :class:`JobSpec`)."""
+
+    def with_(self, **changes):
+        return replace(self, **changes)
+
+    @property
+    def job_spec(self) -> JobSpec:
+        workload = self.workload
+        return benchmark(workload) if isinstance(workload, str) else workload
+
+
+class _JobScenario(_ScenarioBase):
+    """Lowering shared by the single-job facades: one ``job`` RunSpec
+    whose testbed carries the scenario's fault plan (and controller)."""
+
+    def testbed(self, seeds: Sequence[int] = (0,)) -> TestbedConfig:
+        return scaled_testbed(
+            self.job_spec,
+            scale=self.scale,
+            hosts=self.hosts,
+            vms_per_host=self.vms_per_host,
+            seeds=seeds,
+            n_phases=self.n_phases,
+            bytes_per_vm=self.bytes_per_vm,
+            storage=self.storage,
+            storage_overrides=self.storage_overrides,
+        ).with_(faults=self.faults)
+
+    def to_spec(self, seed: int = 0) -> RunSpec:
+        """The ``job`` :class:`~repro.runner.spec.RunSpec` this scenario
+        equals (pure: no environment reads, no clock).
+
+        Matches the specs the experiment suite builds for the same
+        configuration (config tuple shape, per-seed testbed), so cache
+        keys — and therefore cached payloads — are shared.
+        """
+        solution = self.solution()
+        label = self.label or (
+            f"{self.job_spec.name} [{self._plan_label(solution)}] seed={seed}"
+        )
+        return RunSpec(kind="job", seed=seed,
+                       config=(self.testbed(seeds=(seed,)), solution),
+                       label=label)
+
+
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(_JobScenario):
     """A declarative description of one simulated MapReduce experiment.
 
     A scenario is pure data; nothing is built until :func:`simulate` or
@@ -342,15 +323,7 @@ class Scenario:
                 f"{self.n_phases}"
             )
 
-    def with_(self, **changes) -> "Scenario":
-        return replace(self, **changes)
-
     # -- lowering ------------------------------------------------------------------
-    @property
-    def job_spec(self) -> JobSpec:
-        workload = self.workload
-        return benchmark(workload) if isinstance(workload, str) else workload
-
     def solution(self) -> Solution:
         if self.plan is not None:
             return self.plan
@@ -361,43 +334,13 @@ class Scenario:
             pair = SchedulerPair.parse(pair)
         return Solution.uniform(pair, self.n_phases)
 
-    def testbed(self, seeds: Sequence[int] = (0,)) -> TestbedConfig:
-        return scaled_testbed(
-            self.job_spec,
-            scale=self.scale,
-            hosts=self.hosts,
-            vms_per_host=self.vms_per_host,
-            seeds=seeds,
-            n_phases=self.n_phases,
-            bytes_per_vm=self.bytes_per_vm,
-            storage=self.storage,
-            storage_overrides=self.storage_overrides,
-        )
-
-    def to_spec(self, seed: int = 0) -> "RunSpec":
-        """The :class:`~repro.runner.spec.RunSpec` this scenario equals.
-
-        Matches the specs the experiment suite builds for the same
-        configuration (kind, config tuple shape, per-seed testbed), so
-        cache keys — and therefore cached payloads — are shared.
-        """
-        # Imported here, not at module level: the runner layer imports
-        # this facade (assemble_job), so the facade must sit above it.
-        from .runner.spec import RunSpec
-
-        testbed = self.testbed(seeds=(seed,))
-        solution = self.solution()
-        label = self.label or f"{self.job_spec.name} [{solution}] seed={seed}"
-        if self.faults is not None:
-            return RunSpec(kind="faulty_job", seed=seed,
-                           config=(testbed, solution, self.faults),
-                           label=label)
-        return RunSpec(kind="job", seed=seed, config=(testbed, solution),
-                       label=label)
+    @staticmethod
+    def _plan_label(solution: Solution) -> str:
+        return str(solution)
 
 
 @dataclass(frozen=True)
-class MultiJobScenario:
+class MultiJobScenario(_ScenarioBase):
     """A declarative multi-tenant experiment: N concurrent jobs.
 
     Lowers to a ``RunSpec(kind="multi_job")`` executing a
@@ -451,15 +394,7 @@ class MultiJobScenario:
         if self.arrivals is None and not self.tenants:
             raise ValueError("at least one tenant is required")
 
-    def with_(self, **changes) -> "MultiJobScenario":
-        return replace(self, **changes)
-
     # -- lowering ------------------------------------------------------------------
-    @property
-    def job_spec(self) -> JobSpec:
-        workload = self.workload
-        return benchmark(workload) if isinstance(workload, str) else workload
-
     def arrival_config(self) -> ArrivalConfig:
         if self.arrivals is not None:
             return self.arrivals
@@ -503,13 +438,9 @@ class MultiJobScenario:
             switch_plan=self.switch_plan(),
         )
 
-    def to_spec(self, seed: int = 0) -> "RunSpec":
+    def to_spec(self, seed: int = 0) -> RunSpec:
         """The ``multi_job`` :class:`~repro.runner.spec.RunSpec` this
         scenario equals (pure: no environment reads, no clock)."""
-        # Imported here, not at module level: the runner layer imports
-        # this facade, so the facade must sit above it.
-        from .runner.spec import RunSpec
-
         label = self.label or (
             f"{self.job_spec.name} x{self.n_jobs} [{self.scheduler}] "
             f"seed={seed}"
@@ -519,14 +450,14 @@ class MultiJobScenario:
 
 
 @dataclass(frozen=True)
-class ControlledScenario:
+class ControlledScenario(_JobScenario):
     """A declarative online-controlled experiment (``repro.ctrl``).
 
-    Like :class:`Scenario` it is pure data with a pure ``to_spec``:
-    equal scenarios lower to equal ``controlled_job`` specs and share
-    sweep cache keys.  ``controller=None`` runs the static ``initial``
-    pair end to end — the baseline the regret oracle and the
-    metamorphic tests compare against.
+    Like :class:`Scenario` it lowers to a ``job`` spec, whose testbed
+    also carries the :class:`~repro.ctrl.config.CtrlConfig`: equal
+    scenarios share sweep cache keys.  ``controller=None`` runs the
+    static ``initial`` pair end to end — the baseline the regret oracle
+    and the metamorphic tests compare against.
     """
 
     workload: Union[str, JobSpec] = "sort"
@@ -572,15 +503,7 @@ class ControlledScenario:
             )
         self.ctrl_config()  # validates labels and knob ranges
 
-    def with_(self, **changes) -> "ControlledScenario":
-        return replace(self, **changes)
-
     # -- lowering ------------------------------------------------------------------
-    @property
-    def job_spec(self) -> JobSpec:
-        workload = self.workload
-        return benchmark(workload) if isinstance(workload, str) else workload
-
     def ctrl_config(self) -> CtrlConfig:
         kwargs = dict(
             policy=self.controller,
@@ -598,36 +521,14 @@ class ControlledScenario:
             kwargs["arms"] = self.arms
         return CtrlConfig(**kwargs)
 
+    def solution(self) -> Solution:
+        return self.ctrl_config().solution(self.n_phases)
+
     def testbed(self, seeds: Sequence[int] = (0,)) -> TestbedConfig:
-        return scaled_testbed(
-            self.job_spec,
-            scale=self.scale,
-            hosts=self.hosts,
-            vms_per_host=self.vms_per_host,
-            seeds=seeds,
-            n_phases=self.n_phases,
-            bytes_per_vm=self.bytes_per_vm,
-            storage=self.storage,
-            storage_overrides=self.storage_overrides,
-        )
+        return super().testbed(seeds).with_(ctrl=self.ctrl_config())
 
-    def to_spec(self, seed: int = 0) -> "RunSpec":
-        """The ``controlled_job`` :class:`~repro.runner.spec.RunSpec`
-        this scenario equals (pure: no environment reads, no clock)."""
-        # Imported here, not at module level: the runner layer imports
-        # this facade, so the facade must sit above it.
-        from .runner.spec import RunSpec
-
-        policy = self.controller or "static"
-        label = self.label or (
-            f"{self.job_spec.name} [ctrl:{policy}] seed={seed}"
-        )
-        return RunSpec(
-            kind="controlled_job", seed=seed,
-            config=(self.testbed(seeds=(seed,)), self.ctrl_config(),
-                    self.faults),
-            label=label,
-        )
+    def _plan_label(self, solution: Solution) -> str:
+        return f"ctrl:{self.controller or 'static'}"
 
 
 @dataclass(frozen=True)
@@ -655,36 +556,29 @@ class RunResult:
         return self.events / self.wall_s if self.wall_s > 0 else 0.0
 
 
-def simulate(scenario: Scenario, seed: int = 0, trace=None) -> RunResult:
-    """Run one scenario in-process (no cache, no worker fan-out).
+def simulate(scenario: Union[Scenario, ControlledScenario],
+             seed: int = 0, trace=None) -> RunResult:
+    """Run one single-job scenario in-process (no cache, no worker fan-out).
 
-    Deterministic: the same ``(scenario, seed)`` always produces the
-    same payload, bit-for-bit — the same guarantee the sweep cache
-    relies on (DESIGN.md §6).
+    The payload comes from the executor behind the ``job`` run kind, so
+    it equals :func:`~repro.runner.kinds.execute_spec` of
+    ``scenario.to_spec(seed)``.  Deterministic: the same
+    ``(scenario, seed)`` always produces the same payload, bit-for-bit
+    — the same guarantee the sweep cache relies on (DESIGN.md §6).
     """
-    from .runner.kinds import encode_job_result, _reset_run_ids
-
+    spec = scenario.to_spec(seed)
     _reset_run_ids()
-    runner = JobRunner(
-        scenario.testbed(seeds=(seed,)),
-        trace_factory=(lambda _seed: trace) if trace is not None else None,
-        fault_plan=scenario.faults,
-    )
     start_event_census()
     t0 = time.perf_counter()
-    result, stall = runner.execute_once(scenario.solution(), seed)
+    payload, result, stall = _execute_job(spec.config, seed, trace)
     wall_s = time.perf_counter() - t0
     events = finish_event_census()
-    payload = encode_job_result(result, stall)
-    if scenario.faults is not None:
-        payload["faults"] = {k: result.fault_stats[k]
-                             for k in sorted(result.fault_stats)}
     return RunResult(payload=payload, result=result, switch_stall=stall,
                      events=events, wall_s=wall_s)
 
 
 def sweep(
-    scenarios: Union[Scenario, Sequence[Scenario]],
+    scenarios: Union[_ScenarioBase, Sequence[_ScenarioBase]],
     seeds: Sequence[int] = (0,),
     runner=None,
     **runner_kwargs,
@@ -701,9 +595,7 @@ def sweep(
     :func:`~repro.runner.kinds.execute_spec` for the equivalent spec —
     same simulation, same JSON round-trip normalisation.
     """
-    from .runner.sweep import SweepRunner
-
-    if isinstance(scenarios, Scenario):
+    if hasattr(scenarios, "to_spec"):
         scenarios = [scenarios]
     specs = [sc.to_spec(seed) for sc in scenarios for seed in seeds]
     if runner is not None:

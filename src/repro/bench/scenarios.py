@@ -15,7 +15,8 @@ The five scenarios cover the simulator's distinct hot paths:
 * ``sort``          — the reference sort job at the default 0.25 scale
   (Fig. 8); **the regression-gate scenario**;
 * ``faulty_job``    — sort under the LIGHT fault plan (fault machinery
-  + speculative re-execution on the hot path, Fig. 9);
+  + speculative re-execution on the hot path, Fig. 9), run as a ``job``
+  spec whose testbed carries the plan;
 * ``scale_sweep``   — an 8-host × 4-VM cluster swept over two scales
   (the "big cluster" shape the ROADMAP wants to grow into);
 * ``multijob``      — a Poisson stream of three concurrent sort jobs
@@ -123,13 +124,12 @@ def _sort() -> List[RunSpec]:
 def _faulty_job() -> List[RunSpec]:
     return [
         RunSpec(
-            kind="faulty_job",
+            kind="job",
             seed=0,
             config=(
                 scaled_testbed(SORT, scale=0.125, hosts=2, vms_per_host=2,
-                               seeds=(0,)),
+                               seeds=(0,)).with_(faults=LIGHT),
                 Solution.uniform(DEFAULT_PAIR, 2),
-                LIGHT,
             ),
             label="bench faulty_job",
         )

@@ -10,7 +10,6 @@ Public surface::
 
 from .bruteforce import BruteForceSearch, enumerate_solutions
 from .chains import ChainConfig, ChainOutcome, ChainRunner
-from .finegrained import FineGrainedAssignment, FineGrainedPlan, apply_assignment
 from .experiment import JobRunner, RunOutcome, TestbedConfig
 from .heuristic import (
     HeuristicSearch,
@@ -20,7 +19,6 @@ from .heuristic import (
 )
 from .metasched import AdaptiveMetaScheduler, AdaptiveReport
 from .online import OnlineController, OnlinePolicy, Regime
-from .phase_detect import DetectorParams, PhaseDetector, ResourceSample
 from .solution import Solution
 from .switch_cost import SwitchCostMatrix, SwitchCostMeter, SwitchCostModel
 
@@ -31,15 +29,9 @@ __all__ = [
     "ChainConfig",
     "ChainOutcome",
     "ChainRunner",
-    "FineGrainedAssignment",
-    "FineGrainedPlan",
-    "DetectorParams",
     "OnlineController",
     "OnlinePolicy",
-    "PhaseDetector",
-    "ResourceSample",
     "Regime",
-    "apply_assignment",
     "HeuristicSearch",
     "JobRunner",
     "ProfiledScores",

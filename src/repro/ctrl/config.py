@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
+from ..core.solution import Solution
 from ..virt.pair import SchedulerPair
 
 __all__ = ["CtrlConfig", "DEFAULT_ARMS"]
@@ -106,6 +107,11 @@ class CtrlConfig:
 
     def with_(self, **changes) -> "CtrlConfig":
         return replace(self, **changes)
+
+    def solution(self, n_phases: int) -> Solution:
+        """The plan a controlled ``job`` spec carries: ``initial``,
+        never switched (the controller does the switching)."""
+        return Solution.uniform(SchedulerPair.parse(self.initial), n_phases)
 
     @property
     def context(self) -> str:

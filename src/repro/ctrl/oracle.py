@@ -2,7 +2,7 @@
 
 Regret is defined against exhaustive enumeration: run every distinct
 static per-phase plan (``enumerate_solutions`` over a pair set) through
-the *same* ``controlled_job`` kind a policy uses, take the best
+the *same* controlled ``job`` specs a policy uses, take the best
 duration as the offline optimum, and charge each policy
 
     ``regret(policy) = duration(policy) - duration(optimum)``.
@@ -66,7 +66,7 @@ def static_ctrl_config(plan: Sequence[str],
 
 
 def payload_duration(payload: Dict) -> float:
-    """Job duration from a ``controlled_job``/``job`` payload."""
+    """Job duration from a ``job`` payload."""
     phases = payload["phases"]
     return phases["end"] - phases["start"]
 

@@ -77,9 +77,10 @@ def run(
 
     specs = [
         RunSpec(
-            kind="faulty_job",
+            kind="job",
             seed=seed,
-            config=(testbed.with_(seeds=(seed,)), solution, PRESETS[preset]),
+            config=(testbed.with_(seeds=(seed,), faults=PRESETS[preset]),
+                    solution),
             label=f"fig9 {label} faults={preset} seed={seed}",
         )
         for preset in presets

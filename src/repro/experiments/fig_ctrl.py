@@ -60,8 +60,9 @@ def _mean(values: Sequence[float]) -> float:
 def _spec(testbed, ctrl: CtrlConfig, fault_plan, seed: int,
           label: str) -> RunSpec:
     return RunSpec(
-        kind="controlled_job", seed=seed,
-        config=(testbed.with_(seeds=(seed,)), ctrl, fault_plan),
+        kind="job", seed=seed,
+        config=(testbed.with_(seeds=(seed,), faults=fault_plan, ctrl=ctrl),
+                ctrl.solution(testbed.n_phases)),
         label=f"{label} seed={seed}",
     )
 

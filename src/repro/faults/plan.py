@@ -1,7 +1,7 @@
 """Declarative fault plans.
 
-A :class:`FaultPlan` is part of a run's identity: ``faulty_job`` specs
-carry ``(TestbedConfig, Solution, FaultPlan)`` as their config, so the
+A :class:`FaultPlan` is part of a run's identity: it rides on the
+``job`` spec's :class:`~repro.core.experiment.TestbedConfig`, so the
 plan participates in the sweep runner's content-addressed cache keys
 exactly like every other configuration dataclass.  All fields are
 primitives for that reason (see :func:`repro.runner.spec.canonical`).

@@ -9,7 +9,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["PhaseTimes", "JobResult", "PHASE_NAMES"]
 
@@ -89,6 +89,10 @@ class JobResult:
     #: cache tiers their hit/miss ledgers.  See
     #: :meth:`repro.virt.cluster.VirtualCluster.storage_stats`.
     storage: Dict[str, Dict] = field(default_factory=dict)
+    #: Online-controller report: detections, decisions, switches and
+    #: learned state (empty unless the run had a ``CtrlConfig``).  See
+    #: :mod:`repro.ctrl`.
+    ctrl: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def duration(self) -> float:

@@ -27,7 +27,7 @@ beat tasks on ties), or an explicit ``idle`` segment when nothing was
 running.  Segments share endpoints by construction, so they tile each
 phase *exactly* — the sum of segment durations telescopes to the job
 makespan, which is the conservation property
-``tests/obs/test_spans.py`` pins on fig2 and faulty_job runs.
+``tests/obs/test_spans.py`` pins on fig2 runs with and without faults.
 
 Everything here is a pure function of the record list: same trace,
 same attribution, byte-identical JSON.

@@ -8,16 +8,21 @@ cache-hit executions are structurally — and therefore bit- — identical.
 
 The registered kinds cover every simulation the experiment suite runs:
 
-* ``job`` — one MapReduce job under a phase plan (fig2/4/6/7/8, tables);
+* ``job`` — one MapReduce job under a phase plan (fig2/4/6/7/8, tables).
+  The testbed's optional fault plan (``fig9-faults``) and online
+  controller (``fig-ctrl``, with optional background interference) ride
+  on the same kind; each adds its payload key (``faults``/``ctrl``)
+  only when set, so plain runs keep their historical bytes;
+* ``multi_job`` — N concurrent jobs over shared slots (``fig-multijob``);
 * ``chain`` — a multi-job chain under a phase plan (``ablation-chain``);
 * ``sysbench`` — the Fig. 1 sequential-write benchmark;
 * ``instrumented_job`` — a job run exporting throughput samples (fig3);
 * ``dd`` — a parallel-dd run, optionally switching pairs (fig5);
 * ``sort_custom`` — sort with mechanism knockouts (``ablation-mechanisms``);
-* ``online_sort`` — sort under the reactive controller (``ablation-online``);
-* ``faulty_job`` — a job run under a fault plan (``fig9-faults``);
-* ``controlled_job`` — a job under the online adaptive controller
-  (``fig-ctrl``), optionally with faults and background interference.
+* ``online_sort`` — sort under the reactive controller (``ablation-online``).
+
+Every single-job kind builds its testbed with
+:func:`~repro.core.experiment.assemble_job`.
 """
 
 from __future__ import annotations
@@ -25,26 +30,17 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Callable, Dict, Tuple
 
-from ..api import assemble_cluster, assemble_job
 from ..core.chains import ChainRunner
-from ..core.experiment import JobRunner
+from ..core.experiment import JobRunner, assemble_cluster, assemble_job
 from ..core.online import OnlineController, OnlinePolicy
 from ..core.switch_cost import run_dd_once
-from ..ctrl import SIGNAL_TOPICS, OnlineAdaptiveController, make_policy
-from ..faults.injector import FaultInjector
 from ..hdfs.namenode import NameNode
 from ..iosched.anticipatory import AnticipatoryParams, AnticipatoryScheduler
 from ..metrics.slo import percentiles
 from ..net.topology import Topology
 from ..obs import capture
-from ..obs.metrics import TraceMetrics
-from ..mapreduce.jobtracker import MapReduceJob
 from ..mapreduce.multijob import MultiJobTracker
 from ..mapreduce.phases import JobResult, PhaseTimes
-from ..sim.core import Environment
-from ..sim.tracing import TraceBus
-from ..virt.cluster import VirtualCluster
-from ..virt.pair import SchedulerPair
 from ..workloads.arrivals import generate_arrivals
 from ..workloads.sysbench import SysbenchSeqWrite
 from .spec import RunSpec
@@ -145,6 +141,7 @@ def decode_job_result(payload: Dict[str, Any]) -> Tuple[JobResult, float]:
         map_progress=[tuple(sample) for sample in payload["map_progress"]],
         fault_stats=dict(payload.get("faults", {})),
         storage=dict(payload.get("storage", {})),
+        ctrl=dict(payload.get("ctrl", {})),
     )
     return result, payload["switch_stall"]
 
@@ -164,115 +161,32 @@ def _reset_run_ids() -> None:
     reset_fids()
 
 
-def _trace_factory():
-    """JobRunner-style ``trace_factory`` for the active capture, if any."""
-    bus = capture.current_bus()
-    return (lambda seed: bus) if bus is not None else None
-
-
 @register("job")
 def _run_job(config, seed: int) -> Dict[str, Any]:
     """config = (TestbedConfig, Solution)."""
+    return _execute_job(config, seed, capture.current_bus())[0]
+
+
+def _execute_job(config, seed: int,
+                 trace=None) -> Tuple[Dict[str, Any], JobResult, float]:
+    """The single-job run path: ``(payload, job result, switch stall)``.
+
+    Behind both the ``job`` kind and :func:`repro.api.simulate`.  The
+    payload gains a ``faults`` sub-dict of attempt/injector counters
+    only when the testbed carries a fault plan, and a ``ctrl`` sub-dict
+    (detections, decisions, switches, learned state) only when it
+    carries a :class:`~repro.ctrl.config.CtrlConfig`.
+    """
     testbed, solution = config
-    runner = JobRunner(testbed.with_(seeds=(seed,)),
-                       trace_factory=_trace_factory())
-    result, stall = runner.execute_once(solution, seed)
-    return encode_job_result(result, stall)
-
-
-@register("faulty_job")
-def _run_faulty_job(config, seed: int) -> Dict[str, Any]:
-    """config = (TestbedConfig, Solution, FaultPlan).
-
-    A separate kind (rather than a field on ``job``) so fault-free
-    specs keep their historical cache keys: :func:`~repro.runner.spec.canonical`
-    hashes every config field, and ``job`` configs never mention
-    faults.  The payload is the ``job`` payload plus a ``faults``
-    sub-dict of attempt/injector counters.
-    """
-    testbed, solution, plan = config
-    runner = JobRunner(testbed.with_(seeds=(seed,)), fault_plan=plan,
-                       trace_factory=_trace_factory())
+    runner = JobRunner(testbed.with_(seeds=(seed,)), trace=trace)
     result, stall = runner.execute_once(solution, seed)
     payload = encode_job_result(result, stall)
-    payload["faults"] = {k: result.fault_stats[k]
-                         for k in sorted(result.fault_stats)}
-    return payload
-
-
-@register("controlled_job")
-def _run_controlled_job(config, seed: int) -> Dict[str, Any]:
-    """config = (TestbedConfig, CtrlConfig, FaultPlan | None).
-
-    A job run with the online adaptive controller attached: the
-    controller detects phase boundaries from live trace topics and
-    switches scheduler pairs through the cluster's normal machinery.
-    ``ctrl.policy=None`` runs the static ``ctrl.initial`` pair end to
-    end (the baseline the metamorphic tests pin against).  The payload
-    is the ``job`` payload plus a ``ctrl`` sub-dict recording
-    detections, decisions, switches, and (for the bandit) learned
-    state.
-    """
-    testbed, ctrl, fault_plan = config
-    bus = capture.current_bus() or TraceBus()
-    env = Environment()
-    initial = SchedulerPair.parse(ctrl.initial)
-    cluster = VirtualCluster(
-        env,
-        testbed.cluster.with_(initial_pair=initial, seed=seed),
-        trace=bus,
-    )
-    topology = Topology(env)
-    namenode = NameNode(cluster, block_size=testbed.job.block_size,
-                        replication=testbed.job.replication)
-    job = MapReduceJob(env, cluster, topology, namenode, testbed.job,
-                       trace=bus, fault_plan=fault_plan)
-    proc = job.start()
-    if fault_plan is not None and fault_plan.is_active:
-        FaultInjector(env, cluster, fault_plan, manager=job.attempts,
-                      trace=bus, stats=job.extra_fault_stats)
-    controller = None
-    if ctrl.policy is not None:
-        metrics = TraceMetrics()
-        metrics.attach(bus, topics=SIGNAL_TOPICS)
-        policy = make_policy(ctrl, rng=cluster.rng.stream("ctrl.bandit"))
-        controller = OnlineAdaptiveController(
-            env, cluster, bus, metrics.registry, policy, ctrl,
-            n_phases=testbed.n_phases,
-        )
-    if ctrl.interference_bytes > 0:
-        # Background co-tenant write stream (the interference condition
-        # of fig-ctrl); it may still be running when the job completes.
-        SysbenchSeqWrite(env, cluster,
-                         total_bytes=ctrl.interference_bytes).start()
-    env.run(until=proc)
-    result = proc.value
-    result.storage = cluster.storage_stats()
-
-    stall = controller.switch_stall if controller is not None else 0.0
-    payload = encode_job_result(result, stall)
-    if fault_plan is not None:
+    if testbed.faults is not None:
         payload["faults"] = {k: result.fault_stats[k]
                              for k in sorted(result.fault_stats)}
-    if controller is not None:
-        controller.policy.learn(result.duration)
-        payload["ctrl"] = controller.report()
-        payload["ctrl"]["state"] = [
-            list(row) for row in controller.policy.export_state()
-        ]
-    else:
-        payload["ctrl"] = {
-            "policy": "static",
-            "initial": ctrl.initial,
-            "plan": [ctrl.initial] * testbed.n_phases,
-            "detections": [],
-            "decisions": [],
-            "switches": [],
-            "n_switches": 0,
-            "switch_stall": 0.0,
-            "state": [],
-        }
-    return payload
+    if testbed.ctrl is not None:
+        payload["ctrl"] = result.ctrl
+    return payload, result, stall
 
 
 def _max_concurrency(jobs) -> int:
@@ -402,7 +316,7 @@ def _run_instrumented_job(config, seed: int) -> Dict[str, Any]:
     parts = assemble_job(cluster_config, job_config, seed=seed,
                          trace=capture.current_bus())
     env, cluster = parts.env, parts.cluster
-    proc = parts.job.start()
+    proc = parts.start()
     env.run(until=proc)
     duration = env.now
     host = cluster.hosts[0]
@@ -428,7 +342,7 @@ def _run_sort_custom(config, seed: int) -> Dict[str, Any]:
             host.disk.scheduler = AnticipatoryScheduler(
                 params=AnticipatoryParams(antic_expire=1e-9, max_think_time=0.0)
             )
-    proc = parts.job.start()
+    proc = parts.start()
     parts.env.run(until=proc)
     return {"duration": proc.value.duration}
 
@@ -441,7 +355,7 @@ def _run_online_sort(config, seed: int) -> Dict[str, Any]:
                          trace=capture.current_bus())
     env = parts.env
     controller = OnlineController(env, parts.cluster, OnlinePolicy())
-    proc = parts.job.start()
+    proc = parts.start()
 
     def stopper():
         yield proc

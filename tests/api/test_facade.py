@@ -7,12 +7,13 @@ paths it replaces.
 """
 
 import json
-import warnings
 
 import pytest
 
 from repro.api import (
     DEFAULT_SCALE,
+    ControlledScenario,
+    MultiJobScenario,
     RunResult,
     Scenario,
     assemble_job,
@@ -24,6 +25,7 @@ from repro.api import (
 )
 from repro.core.experiment import JobRunner
 from repro.core.solution import Solution
+from repro.faults.presets import LIGHT
 from repro.runner.adapter import SweepJobRunner
 from repro.runner.kinds import encode_job_result, execute_spec, _reset_run_ids
 from repro.runner.spec import spec_key
@@ -99,30 +101,46 @@ def test_simulate_is_seed_deterministic():
 
 
 def test_simulate_matches_direct_jobrunner():
-    sc = Scenario(**TINY)
-    res = simulate(sc, seed=0)
+    for faults in (None, LIGHT):
+        sc = Scenario(**TINY, faults=faults)
+        res = simulate(sc, seed=0)
 
-    _reset_run_ids()
-    runner = JobRunner(
-        scaled_testbed(SORT, scale=0.05, hosts=2, vms_per_host=2, seeds=(0,))
-    )
-    result, stall = runner.execute_once(Solution.uniform(DEFAULT_PAIR, 2), 0)
-    assert canon(res.payload) == canon(encode_job_result(result, stall))
-    assert res.switch_stall == stall
-    assert res.duration == result.duration
+        _reset_run_ids()
+        testbed = scaled_testbed(SORT, scale=0.05, hosts=2, vms_per_host=2,
+                                 seeds=(0,))
+        runner = JobRunner(testbed.with_(faults=faults))
+        result, stall = runner.execute_once(
+            Solution.uniform(DEFAULT_PAIR, 2), 0)
+        expected = encode_job_result(result, stall)
+        if faults is not None:
+            expected["faults"] = result.fault_stats
+        assert canon(res.payload) == canon(expected)
+        # ... which is exactly what the job kind executes for the spec.
+        assert canon(res.payload) == canon(execute_spec(sc.to_spec(0)))
+        assert res.switch_stall == stall
+        assert res.duration == result.duration
+        assert res.result.fault_stats == result.fault_stats
 
 
 def test_sweep_parity_with_execute_spec(tmp_path):
-    sc = Scenario(**TINY)
-    expected = json.loads(canon(execute_spec(sc.to_spec(0))))
+    # A lone scenario of any facade is swept as a one-element list.
+    cache_dir = str(tmp_path / "cache")
+    for sc in (
+        Scenario(**TINY),
+        Scenario(**TINY, faults=LIGHT),
+        ControlledScenario(**TINY, controller="greedy",
+                           phase_pairs=("ad", "cc")),
+        MultiJobScenario(**TINY, n_jobs=2, arrival_rate=1.0),
+    ):
+        expected = json.loads(canon(execute_spec(sc.to_spec(0))))
 
-    [payloads] = sweep(sc, seeds=(0,), jobs=1, use_cache=True,
-                       cache_dir=str(tmp_path / "cache"))
-    assert canon(payloads[0]) == canon(expected)
-    # Replay from the on-disk cache: still identical.
-    [replayed] = sweep(sc, seeds=(0,), jobs=1, use_cache=True,
-                       cache_dir=str(tmp_path / "cache"))
-    assert canon(replayed[0]) == canon(expected)
+        [payloads] = sweep(sc, seeds=(0,), jobs=1, use_cache=True,
+                           cache_dir=cache_dir)
+        assert canon(payloads[0]) == canon(expected)
+        # Replay from the on-disk cache: still identical.
+        [replayed] = sweep(sc, seeds=(0,), jobs=1, use_cache=True,
+                           cache_dir=cache_dir)
+        assert canon(replayed[0]) == canon(expected)
 
 
 def test_scenario_spec_key_matches_experiment_suite():
@@ -138,12 +156,15 @@ def test_scenario_spec_key_matches_experiment_suite():
 
 
 def test_faulty_scenario_lowers_to_faulty_job_kind():
+    # The fault plan rides on the job kind's testbed.
     from repro.faults import NO_FAULTS
 
     sc = Scenario(**TINY, faults=NO_FAULTS)
     spec = sc.to_spec(0)
-    assert spec.kind == "faulty_job"
-    assert spec.config[2] is NO_FAULTS
+    assert spec.kind == "job"
+    testbed, solution = spec.config
+    assert testbed.faults is NO_FAULTS
+    assert solution == sc.solution()
     res = simulate(sc, seed=0)
     assert res.payload["faults"] == {}
 
@@ -169,43 +190,6 @@ def test_assemble_job_wires_the_full_stack():
     assert parts.env.trace is None
     # The cluster was re-seeded.
     assert parts.cluster.config.seed == 7
-
-
-# -- the deprecated module ------------------------------------------------------------
-
-
-def test_experiments_common_shim_warns():
-    import repro.api as api
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        from repro.experiments.common import scaled_testbed as shimmed
-    assert shimmed is api.scaled_testbed
-    assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-
-
-def test_experiments_common_shim_forwards_every_moved_name():
-    """Regression: each moved helper resolves via the shim, with a
-    DeprecationWarning per access, until the alias is removed."""
-    import repro.api as api
-    import repro.experiments.common as common
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for name in sorted(common._MOVED):
-            assert getattr(common, name) is getattr(api, name)
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == len(common._MOVED)
-    assert all("moved to repro.api" in str(w.message) for w in deprecations)
-    assert set(common._MOVED) <= set(dir(common))
-
-
-def test_experiments_common_shim_unknown_name():
-    import repro.experiments.common as common
-
-    with pytest.raises(AttributeError):
-        common.not_a_real_name
 
 
 def test_package_root_exports_the_facade():

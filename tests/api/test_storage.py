@@ -200,19 +200,3 @@ def test_assemble_cluster_storage_override():
     with pytest.raises(UnknownStorageError):
         assemble_cluster(scaled_cluster(0.05, hosts=2, vms_per_host=2),
                          storage="bogus")
-
-
-def test_legacy_geometry_kwargs_warn_but_work():
-    from repro.disk import DiskGeometry
-    from repro.sim import Environment
-    from repro.virt.hypervisor import PhysicalHost
-    from repro.iosched import scheduler_factory
-
-    with pytest.warns(DeprecationWarning):
-        host = PhysicalHost(
-            Environment(), name="h0",
-            vmm_scheduler_factory=scheduler_factory("cfq"),
-            max_vms=1,
-            geometry=DiskGeometry(),
-        )
-    assert host.disk.kind == "hdd"

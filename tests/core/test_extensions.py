@@ -1,17 +1,14 @@
-"""Tests for the future-work extensions: online controller, fine-grained
-plans, job chains."""
+"""Tests for the future-work extensions: online controller, job chains."""
 
 import pytest
 
 from repro.core import (
     ChainConfig,
     ChainRunner,
-    FineGrainedAssignment,
     HeuristicSearch,
     OnlineController,
     OnlinePolicy,
     Solution,
-    apply_assignment,
     profile_single_pairs,
 )
 from repro.hdfs import NameNode
@@ -100,63 +97,6 @@ def test_online_controller_hysteresis_limits_flapping():
         OnlinePolicy(sample_interval=0.5, hysteresis=4)
     )
     assert cautious.switches <= eager.switches
-
-
-# -- fine-grained plans ------------------------------------------------------------
-
-
-def test_apply_assignment_switches_selected_devices():
-    env = Environment()
-    cluster = VirtualCluster(env, small_cluster_config())
-    assignment = FineGrainedAssignment.of(
-        vmm={"h0": "anticipatory"},
-        vms={"h1v0": "deadline"},
-    )
-    done = apply_assignment(env, cluster, assignment)
-    env.run(until=done)
-    assert cluster.hosts[0].disk.scheduler.name == "anticipatory"
-    assert cluster.hosts[1].disk.scheduler.name == "cfq"  # untouched
-    assert cluster.vm("h1v0").scheduler_name == "deadline"
-    assert cluster.vm("h0v0").scheduler_name == "cfq"  # untouched
-
-
-def test_apply_assignment_skips_already_installed():
-    env = Environment()
-    cluster = VirtualCluster(env, small_cluster_config())
-    before = cluster.hosts[0].disk.switch_count
-    done = apply_assignment(
-        env, cluster, FineGrainedAssignment.of(vmm={"h0": "cfq"})
-    )
-    env.run(until=done)
-    assert cluster.hosts[0].disk.switch_count == before  # no-op, no drain
-
-
-def test_assignment_unknown_host_raises():
-    env = Environment()
-    cluster = VirtualCluster(env, small_cluster_config())
-    with pytest.raises(KeyError):
-        apply_assignment(
-            env, cluster, FineGrainedAssignment.of(vmm={"nope": "cfq"})
-        )
-
-
-def test_uniform_assignment_covers_cluster():
-    env = Environment()
-    cluster = VirtualCluster(env, small_cluster_config())
-    a = FineGrainedAssignment.uniform(cluster, AD)
-    assert len(a.vmm) == 2
-    assert len(a.vms) == 4
-    done = apply_assignment(env, cluster, a)
-    env.run(until=done)
-    for host in cluster.hosts:
-        assert host.current_pair == AD
-
-
-def test_assignment_canonicalizes_names():
-    a = FineGrainedAssignment.of(vmm={"h0": "AS"}, vms={"v": "DL"})
-    assert dict(a.vmm)["h0"] == "anticipatory"
-    assert dict(a.vms)["v"] == "deadline"
-    assert FineGrainedAssignment.of().is_noop
 
 
 # -- job chains ----------------------------------------------------------------------

@@ -28,10 +28,11 @@ def small_testbed(seed: int = 0, n_phases: int = 2):
 
 def controlled_spec(ctrl, seed: int = 0, n_phases: int = 2, faults=None,
                     label: str = "") -> RunSpec:
+    testbed = small_testbed(seed, n_phases).with_(faults=faults, ctrl=ctrl)
     return RunSpec(
-        kind="controlled_job",
+        kind="job",
         seed=seed,
-        config=(small_testbed(seed, n_phases), ctrl, faults),
+        config=(testbed, ctrl.solution(n_phases)),
         label=label or f"ctrl test seed={seed}",
     )
 

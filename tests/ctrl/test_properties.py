@@ -181,6 +181,23 @@ def test_online_greedy_switch_matches_the_offline_switcher_bit_exactly():
     assert _dumps(_strip_ctrl(greedy)) == _dumps(offline)
 
 
+def test_controller_plus_offline_switch_plan_is_rejected():
+    # Two switch drivers (controller + offline _switcher) on one run.
+    testbed = small_testbed().with_(ctrl=GREEDY)
+    for plan in (Solution.of([SchedulerPair.parse("ad"),
+                              SchedulerPair.parse("cc")]),
+                 Solution.uniform(SchedulerPair.parse("cc"), 2)):
+        with pytest.raises(ValueError, match="switch drivers"):
+            execute_spec(RunSpec(kind="job", seed=0, config=(testbed, plan)))
+
+
+def test_single_job_runs_have_one_run_kind():
+    from repro.runner.kinds import KINDS
+
+    assert "faulty_job" not in KINDS and "controlled_job" not in KINDS
+    assert controlled_spec(GREEDY).kind == "job"
+
+
 # -- bandit state threading ----------------------------------------------------------
 
 

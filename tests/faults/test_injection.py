@@ -19,7 +19,7 @@ def small_testbed(seed):
 
 
 def run_once(seed, plan):
-    runner = JobRunner(small_testbed(seed), fault_plan=plan)
+    runner = JobRunner(small_testbed(seed).with_(faults=plan))
     result, _ = runner.execute_once(Solution.uniform(DEFAULT_PAIR, 2), seed)
     return result
 

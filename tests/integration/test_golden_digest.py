@@ -3,8 +3,8 @@
 One small sort job has a checked-in SHA-256 of its canonical JSON
 payload.  The digest must be reproduced bit-for-bit by every execution
 path the sweep runner offers — serial, parallel worker processes, and
-the on-disk cache — and by a ``faulty_job`` run under the inert fault
-plan (the fault subsystem's zero-overhead guarantee).
+the on-disk cache — and by a ``job`` run whose testbed carries the
+inert fault plan (the fault subsystem's zero-overhead guarantee).
 
 If a change alters simulation behaviour *intentionally*, regenerate the
 digest with the snippet in ``expected_digest``'s docstring and say so in
@@ -76,12 +76,12 @@ def test_cached_replay_matches_golden_digest(tmp_path):
 
 
 def test_inert_fault_plan_matches_golden_digest():
-    # faulty_job with NO_FAULTS must produce the job payload exactly,
+    # A NO_FAULTS testbed must produce the fault-free payload exactly,
     # plus an empty "faults" ledger: recovery machinery costs nothing
     # when disabled.
     testbed, solution = golden_config()
-    spec = RunSpec(kind="faulty_job", seed=0,
-                   config=(testbed, solution, NO_FAULTS))
+    spec = RunSpec(kind="job", seed=0,
+                   config=(testbed.with_(faults=NO_FAULTS), solution))
     with SweepRunner(jobs=1, use_cache=False) as sweep:
         [payload] = sweep.run_specs([spec])
     assert payload.pop("faults") == {}

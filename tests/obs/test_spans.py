@@ -38,6 +38,7 @@ from repro.virt.pair import DEFAULT_PAIR
 from repro.workloads.profiles import SORT
 
 SEEDS = (0, 1, 2)
+#: ``faulty_job`` cases run the ``job`` kind under the LIGHT fault plan.
 CASES = [(kind, seed) for kind in ("job", "faulty_job") for seed in SEEDS]
 
 
@@ -45,10 +46,9 @@ def _spec(kind, seed):
     testbed = scaled_testbed(SORT, scale=0.05, hosts=2, vms_per_host=2,
                              seeds=(seed,))
     solution = Solution.uniform(DEFAULT_PAIR, 2)
-    if kind == "job":
-        return RunSpec(kind="job", seed=seed, config=(testbed, solution))
-    return RunSpec(kind="faulty_job", seed=seed,
-                   config=(testbed, solution, LIGHT))
+    if kind == "faulty_job":
+        testbed = testbed.with_(faults=LIGHT)
+    return RunSpec(kind="job", seed=seed, config=(testbed, solution))
 
 
 @pytest.fixture(scope="module")

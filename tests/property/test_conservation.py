@@ -57,25 +57,18 @@ def traced_run(seed, plan_name):
     """One (memoised) instrumented run: ``(JobResult, TraceBus)``."""
     key = (seed, plan_name)
     if key not in _RUNS:
-        buses = []
-
-        def factory(s):
-            bus = TraceBus()
-            for topic in ("fs.read", "fs.write", "disk.submit",
-                          "disk.complete"):
-                bus.record_topic(topic)
-            buses.append(bus)
-            return bus
-
+        bus = TraceBus()
+        for topic in ("fs.read", "fs.write", "disk.submit",
+                      "disk.complete"):
+            bus.record_topic(topic)
         runner = JobRunner(
             scaled_testbed(SORT, scale=0.02, hosts=2, vms_per_host=2,
-                           seeds=(seed,)),
-            trace_factory=factory,
-            fault_plan=PLANS[plan_name],
+                           seeds=(seed,)).with_(faults=PLANS[plan_name]),
+            trace=bus,
         )
         result, _ = runner.execute_once(Solution.uniform(DEFAULT_PAIR, 2),
                                         seed)
-        _RUNS[key] = (result, buses[0])
+        _RUNS[key] = (result, bus)
     return _RUNS[key]
 
 
