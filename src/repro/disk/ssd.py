@@ -24,6 +24,15 @@ fault injection — works unchanged.  What changes is the service path:
 * allocation failure triggers greedy GC: the sealed block with the
   most invalid pages is relocated and erased.
 
+The NAND channels are an analytic calendar, not server processes: a
+FIFO channel is its free-at instant, so booking an op computes
+``start = max(now, free_at)`` and ``finish = start + latency * scale``
+on the spot.  Programs, GC reads and erases schedule no event at all;
+a read request waits on one event at the latest finish of its pages.
+A fault's ``service_scale`` applies to an op when it *starts*: a scale
+change re-times the booked ops that have not started yet, and moves
+each waiting read's wake-up to its new finish.
+
 Everything is deterministic — no RNG is consumed; the ``rng`` the
 storage-backend factory offers is accepted and unused, so hybrid
 clusters keep per-host stream assignment identical to all-HDD ones.
@@ -34,12 +43,13 @@ channel occupancy) are registered in :mod:`repro.obs.topics`.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
 from ..iosched.base import IOScheduler
-from ..sim.events import AllOf, Event, Timeout
+from ..sim.events import Event, Timeout
 from .device import ElevatorQueue
 from .request import SECTOR_SIZE, BlockRequest, IoOp
 from .stats import DeviceStats
@@ -97,6 +107,13 @@ class SsdParameters:
             raise ValueError("gc_min_invalid must be in [1, pages_per_block]")
         if self.ncq_depth < 1:
             raise ValueError("ncq_depth must be >= 1")
+        for name in ("read_latency", "program_latency", "erase_latency",
+                     "cache_read_latency", "cache_write_latency",
+                     "writeback_delay"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, "
+                                 f"got {value!r}")
 
 
 class SsdDevice(ElevatorQueue):
@@ -117,8 +134,9 @@ class SsdDevice(ElevatorQueue):
     ):
         self.params = params or SsdParameters()
         self.stats = stats or DeviceStats()
-        #: Fault-injection knobs, same semantics as :class:`DiskDevice`.
-        self.service_scale = 1.0
+        #: Fault-injection knobs, same semantics as :class:`DiskDevice`
+        #: (``service_scale`` is a property: changing it re-times ops).
+        self._scale = 1.0
         self.extra_latency = 0.0
         self._in_flight = 0
 
@@ -129,6 +147,8 @@ class SsdDevice(ElevatorQueue):
         self._blocks: Dict[int, Dict[int, int]] = {}
         #: block id -> count of invalidated (overwritten/moved) slots
         self._invalid: Dict[int, int] = {}
+        #: blocks with >= gc_min_invalid invalid slots (GC candidates)
+        self._gc_candidates = 0
         self._free: Deque[int] = deque()
         self._next_block = 0
         self._open: Optional[int] = None
@@ -149,17 +169,18 @@ class SsdDevice(ElevatorQueue):
         self.cache_coalesced = 0  # re-dirtied pages absorbed in cache
         self.cache_read_hits = 0
 
+        # -- NAND calendar: per channel, its free-at instant and the booked
+        # ops ([start, finish, latency]) not started before now -----------
+        self._free_at: List[float] = [0.0] * self.params.channels
+        self._booked: List[Deque[List[float]]] = [
+            deque() for _ in range(self.params.channels)
+        ]
+        #: rid -> [ops, wake event, wake time] of reads waiting on NAND
+        self._nand_waits: Dict[int, list] = {}
+
         super().__init__(env, scheduler, name, trace, switch_control_latency,
                          quiesce_holds_arrivals)
 
-        self._chan_q: List[Deque[Tuple[float, Optional[Event]]]] = [
-            deque() for _ in range(self.params.channels)
-        ]
-        self._chan_wake: List[Event] = [
-            env.event() for _ in range(self.params.channels)
-        ]
-        for c in range(self.params.channels):
-            env.process(self._channel_server(c))
         self._flush_wake: Event = env.event()
         env.process(self._flusher())
 
@@ -226,13 +247,15 @@ class SsdDevice(ElevatorQueue):
                 # Re-written before flush: coalesced, no extra NAND work.
                 self.cache_coalesced += 1
             else:
+                if not self._dirty:
+                    # Only an empty cache can have the flusher asleep.
+                    self._kick_flusher()
                 self._dirty[lpn] = None
-                self._kick_flusher()
-        yield Timeout(env, self.params.cache_write_latency * self.service_scale)
+        yield Timeout(env, self.params.cache_write_latency * self._scale)
 
     def _serve_read(self, request: BlockRequest):
         env = self.env
-        nand_events: List[Event] = []
+        ops: List[List[float]] = []
         hit_cache = False
         for lpn in self._page_span(request):
             if lpn in self._dirty:
@@ -242,46 +265,71 @@ class SsdDevice(ElevatorQueue):
             mapped = self._l2p.get(lpn)
             channel = (mapped[0] if mapped is not None else lpn) \
                 % self.params.channels
-            done = Event(env)
-            self._charge(channel, self.params.read_latency, done)
+            ops.append(self._charge(channel, self.params.read_latency))
             self.nand_reads += 1
-            nand_events.append(done)
         if hit_cache:
             yield Timeout(env,
-                          self.params.cache_read_latency * self.service_scale)
-        if nand_events:
-            yield AllOf(env, nand_events)
+                          self.params.cache_read_latency * self._scale)
+        if ops:
+            when = max(env._now, max(op[1] for op in ops))
+            wake = env.schedule_at(Event(env), when)
+            self._nand_waits[request.rid] = [ops, wake, when]
+            yield wake
+            del self._nand_waits[request.rid]
 
-    # -- NAND channels -----------------------------------------------------------
-    def _charge(self, channel: int, latency: float,
-                done: Optional[Event] = None) -> None:
-        """Queue one NAND operation on ``channel`` (FIFO service)."""
-        q = self._chan_q[channel]
-        q.append((latency, done))
+    # -- NAND channel calendar ---------------------------------------------------
+    def _charge(self, channel: int, latency: float) -> List[float]:
+        """Book one NAND op on ``channel`` (FIFO); returns its record."""
+        now = self.env._now
+        booked = self._booked[channel]
+        while booked and booked[0][0] < now:
+            booked.popleft()
+        start = self._free_at[channel]
+        if start < now:
+            start = now
+        op = [start, start + latency * self._scale, latency]
+        booked.append(op)
+        self._free_at[channel] = op[1]
         if self.trace is not None:
             self.trace.publish(
-                self.env._now,
+                now,
                 "ssd.channel",
                 device=self.name,
                 channel=channel,
-                depth=len(q),
+                depth=len(booked),
             )
-        wake = self._chan_wake[channel]
-        if not wake.triggered:
-            wake.succeed()
+        return op
 
-    def _channel_server(self, channel: int):
-        env = self.env
-        q = self._chan_q[channel]
-        while True:
-            if not q:
-                self._chan_wake[channel] = Event(env)
-                yield self._chan_wake[channel]
+    @property
+    def service_scale(self) -> float:
+        return self._scale
+
+    @service_scale.setter
+    def service_scale(self, scale: float) -> None:
+        self._scale = scale
+        # Ops not yet started take the new scale; each starts when its
+        # predecessor on the channel finishes.
+        now = self.env._now
+        for channel, booked in enumerate(self._booked):
+            if not booked:
                 continue
-            latency, done = q.popleft()
-            yield Timeout(env, latency * self.service_scale)
-            if done is not None:
-                done.succeed()
+            free = booked[0][0]
+            for op in booked:
+                if op[0] > now:
+                    op[0] = free
+                    op[1] = free + op[2] * scale
+                free = op[1]
+            self._free_at[channel] = free
+        # Move each waiting read's wake-up to its new finish; the old
+        # heap entry pops with no callbacks.
+        for wait in self._nand_waits.values():
+            ops, wake, when = wait
+            new_when = max(now, max(op[1] for op in ops))
+            if new_when != when:
+                moved = Event(self.env)
+                moved.callbacks, wake.callbacks = wake.callbacks, []
+                wait[1] = self.env.schedule_at(moved, new_when)
+                wait[2] = new_when
 
     # -- write cache flushing ----------------------------------------------------
     def _kick_flusher(self) -> None:
@@ -328,7 +376,10 @@ class SsdDevice(ElevatorQueue):
             valid = self._blocks.get(old_block)
             if valid is not None and valid.get(old_slot) == lpn:
                 del valid[old_slot]
-                self._invalid[old_block] += 1
+                invalid = self._invalid[old_block] + 1
+                self._invalid[old_block] = invalid
+                if invalid == self.params.gc_min_invalid:
+                    self._gc_candidates += 1
         if self._open is None or self._open_next >= self.params.pages_per_block:
             self._open = self._alloc_block(during_gc)
             self._open_next = 0
@@ -352,6 +403,8 @@ class SsdDevice(ElevatorQueue):
 
     def _gc_if_worthwhile(self) -> None:
         """Greedy GC: erase the sealed block with the most invalid pages."""
+        if not self._gc_candidates:
+            return
         victim = None
         best = self.params.gc_min_invalid - 1
         for block, invalid in self._invalid.items():
@@ -374,6 +427,7 @@ class SsdDevice(ElevatorQueue):
         self.nand_erases += 1
         del self._blocks[victim]
         del self._invalid[victim]
+        self._gc_candidates -= 1
         self._free.append(victim)
         if self.trace is not None:
             self.trace.publish(

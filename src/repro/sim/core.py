@@ -5,7 +5,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any, Generator, List, Optional, Tuple
 
-from .events import KEY_SHIFT, NORMAL, Event, Timeout
+from .events import KEY_SHIFT, NORMAL, NORMAL_KEY, PENDING, Event, Timeout
 from .process import Process
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -101,6 +101,24 @@ class Environment:
             raise ValueError(f"negative delay {delay}")
         self._eid = eid = self._eid + 1
         heappush(self._queue, (self._now + delay, (priority << KEY_SHIFT) | eid, event))
+
+    def schedule_at(self, event: Event, when: float, value: Any = None) -> Event:
+        """Trigger the pending ``event`` to be processed at time ``when``.
+
+        For analytic models that compute an absolute completion instant
+        (a FIFO server's ``max(now, free_at) + service``): a
+        ``Timeout(when - now)`` lands at ``now + (when - now)``, which
+        can miss ``when`` by an ulp.
+        """
+        if when < self._now:
+            raise ValueError(f"when={when} is in the past (now={self._now})")
+        if event._value is not PENDING:
+            raise RuntimeError(f"{event!r} has already been triggered")
+        event._ok = True
+        event._value = value
+        self._eid = eid = self._eid + 1
+        heappush(self._queue, (when, NORMAL_KEY | eid, event))
+        return event
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""

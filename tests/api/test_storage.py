@@ -21,6 +21,7 @@ from repro.api import (
     assemble_cluster,
     scaled_cluster,
 )
+from repro.faults.plan import DiskFaults, FaultPlan
 from repro.faults.presets import get_preset
 from repro.runner import SweepRunner
 
@@ -49,6 +50,23 @@ PRE_REGISTRY_DIGESTS = {
         "1b5a46fc28ce54a3e02995a45c3829e4974fae090f1d0a55dc01e4324d88d76f",
     ("controlled_job", 2):
         "ea60d2ae5a9e10c45f1875ccec32014deb19b17f94655b72850361be8513999c",
+}
+
+
+#: Disk slow episodes on flash: every op a slow episode's edge overlaps
+#: must take the scale in force when the op *starts* service.  Pinned
+#: on the revision whose NAND channels were server processes.
+SLOW_DISK = FaultPlan(disk=DiskFaults(slow_interval_s=2.0, slow_factor=4.0,
+                                      slow_duration_s=1.0))
+FAULTED_FLASH_DIGESTS = {
+    ("ssd", 0):
+        "ddf7450617797a369c2d998823a5eb5b412774bda2ee9bbc38ac510fa57dd82e",
+    ("ssd", 1):
+        "d2c59fa2e29e788c4d6cd03a24e1e1b5a603a296bb69f7bf7cc4ba9590d9b684",
+    ("hybrid", 0):
+        "a886be4b60c545767f662664d08bfd6a1d8b360e75da5329b13eee619bcc7fd4",
+    ("hybrid", 1):
+        "033e575826aee2a7a979057471ccff844e2058871539c85db8c6d8938703a33c",
 }
 
 
@@ -85,6 +103,19 @@ def test_hdd_payloads_bit_identical_to_pre_registry(kind):
         # All-HDD clusters report no storage stats at all — that key's
         # absence is what keeps the digests above reachable.
         assert "storage" not in payload
+
+
+@pytest.mark.parametrize("storage", ["ssd", "hybrid"])
+def test_faulted_flash_payloads_pinned(storage):
+    scenario = Scenario(**TINY, storage=storage, faults=SLOW_DISK)
+    specs = [scenario.to_spec(seed) for seed in (0, 1)]
+    with SweepRunner(jobs=1, use_cache=False) as runner:
+        payloads = runner.run_specs(specs)
+    for spec, payload in zip(specs, payloads):
+        assert payload["faults"]["disk_slow_episodes"] > 0
+        assert digest(payload) == \
+            FAULTED_FLASH_DIGESTS[(storage, spec.seed)], \
+            f"{storage} seed={spec.seed} faulted payload drifted"
 
 
 # -- ssd determinism ------------------------------------------------------------------

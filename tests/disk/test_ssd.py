@@ -44,6 +44,15 @@ def test_parameter_validation():
         SsdParameters(channels=0)
     with pytest.raises(ValueError):
         SsdParameters(write_cache_pages=-1)
+    # A negative or non-finite timing would book NAND ops in the past
+    # (or never); zero is a legal idealised device.
+    for field in ("read_latency", "program_latency", "erase_latency",
+                  "cache_read_latency", "cache_write_latency",
+                  "writeback_delay"):
+        for bad in (-1e-6, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=field):
+                SsdParameters(**{field: bad})
+        SsdParameters(**{field: 0.0})
 
 
 def test_sequential_writes_conserved_and_wa_one():
@@ -143,3 +152,111 @@ def test_trace_topics_published():
     for _ in range(16):
         run_all(env, dev, [write(i * 8) for i in range(16)])
     assert {"ssd.gc", "ssd.writeback", "ssd.channel"} <= set(seen)
+
+
+# -- exact channel timing ---------------------------------------------------------------
+#
+# The NAND channels are FIFO servers: an op starts when its channel
+# frees up and takes its latency times the ``service_scale`` in force
+# when it starts.  These tests pin completion instants exactly (float
+# equality, built with the same additions the device performs).
+
+R = SMALL.read_latency
+P = SMALL.program_latency
+#: The writeback flush of a burst submitted at t=0 lands here.
+FLUSH = SMALL.writeback_delay
+
+
+def read_page(lpn):
+    """One-page read; an unmapped lpn lives on channel lpn % channels."""
+    return read(lpn * SMALL.page_bytes // 512, SMALL.page_bytes // 512)
+
+
+def flush_one_block():
+    """Write a block's worth of pages at t=0; they flush at FLUSH onto
+    block 0 (channel 0) as a FIFO of 4 programs.  Returns (env, dev)."""
+    env = Environment()
+    dev = make_ssd(env)
+    dev.submit(write(0, 4 * SMALL.page_bytes // 512))
+    env.run(until=FLUSH + P / 2)
+    assert dev.storage_stats()["nand_programs"] == 4
+    return env, dev
+
+
+def test_reads_on_one_channel_serialise():
+    env = Environment()
+    dev = make_ssd(env)
+    reqs = [read_page(0), read_page(2)]  # both channel 0, not adjacent
+    for ev in [dev.submit(r) for r in reqs]:
+        env.run(until=ev)
+    assert [r.complete_time for r in reqs] == [R, R + R]
+
+
+def test_reads_on_two_channels_overlap():
+    env = Environment()
+    dev = make_ssd(env)
+    reqs = [read_page(0), read_page(3)]  # channels 0 and 1
+    for ev in [dev.submit(r) for r in reqs]:
+        env.run(until=ev)
+    assert [r.complete_time for r in reqs] == [R, R]
+
+
+def test_read_waits_behind_flushed_programs():
+    env, dev = flush_one_block()
+    req = read_page(0)  # mapped to block 0 -> channel 0
+    env.run(until=dev.submit(req))
+    assert req.complete_time == FLUSH + P + P + P + P + R
+
+
+def test_service_scale_applies_to_ops_started_after_the_change():
+    env, dev = flush_one_block()
+    # Mid-way through the first program: it keeps its 1x finish, the
+    # three queued behind it start later and run 4x.
+    dev.service_scale = 4.0
+    req = read_page(0)
+    env.run(until=dev.submit(req))
+    assert req.complete_time == \
+        FLUSH + P + P * 4.0 + P * 4.0 + P * 4.0 + R * 4.0
+
+
+def test_service_scale_change_retimes_a_waiting_read():
+    env, dev = flush_one_block()
+    req = read_page(0)
+    done = dev.submit(req)
+    env.run(until=FLUSH + 3 * P / 4)  # read queued behind 3 programs
+    dev.service_scale = 4.0
+    # Program 2 starts at FLUSH + P under 4x; drop back to 1x while it
+    # runs, so programs 3-4 and the read start at 1x again.
+    env.run(until=FLUSH + 3 * P)
+    dev.service_scale = 1.0
+    env.run(until=done)
+    assert req.complete_time == FLUSH + P + P * 4.0 + P + P + R
+
+
+def test_channel_depth_sequence():
+    """``ssd.channel`` depth = ops booked and not yet started."""
+    from repro.sim import TraceBus
+
+    env = Environment()
+    bus = TraceBus()
+    seen = []
+    bus.subscribe("ssd.channel",
+                  lambda r: seen.append((r.time, r.payload["channel"],
+                                         r.payload["depth"])))
+    dev = make_ssd(env, trace=bus)
+    # 8 pages flush at FLUSH onto blocks 0 (channel 0) and 1 (channel 1).
+    dev.submit(write(0, 8 * SMALL.page_bytes // 512))
+    env.run(until=FLUSH + P / 2)
+    # One read per channel while the first program of each runs.
+    t_read = env.now
+    for ev in [dev.submit(read_page(0)), dev.submit(read_page(4))]:
+        env.run(until=ev)
+    # Once both channels drain, a lone read queues behind nothing.
+    env.run(until=env.now + 1.0)
+    t_idle = env.now
+    env.run(until=dev.submit(read_page(1)))
+    assert seen == (
+        [(FLUSH, 0, d) for d in (1, 2, 3, 4)]
+        + [(FLUSH, 1, d) for d in (1, 2, 3, 4)]
+        + [(t_read, 0, 4), (t_read, 1, 4), (t_idle, 0, 1)]
+    )

@@ -63,6 +63,27 @@ def test_peek():
     assert env.peek() == pytest.approx(2)
 
 
+def test_schedule_at_fires_at_the_exact_instant():
+    env = Environment()
+    env.run(until=0.2)
+    when = 0.9  # 0.2 + (0.9 - 0.2) != 0.9 in floating point
+    assert env.now + (when - env.now) != when
+    fired = []
+    ev = env.schedule_at(env.event(), when, value="v")
+    ev.callbacks.append(lambda e: fired.append((env.now, e.value)))
+    env.run()
+    assert fired == [(when, "v")]
+
+
+def test_schedule_at_rejects_past_and_triggered_events():
+    env = Environment()
+    env.run(until=1.0)
+    with pytest.raises(ValueError):
+        env.schedule_at(env.event(), 0.5)
+    with pytest.raises(RuntimeError):
+        env.schedule_at(env.event().succeed(), 2.0)
+
+
 def test_run_until_never_triggering_event_raises():
     env = Environment()
     ev = env.event()
