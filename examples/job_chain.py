@@ -10,8 +10,9 @@ heuristic explores at most P x S of them.
 
 import time
 
-from repro.core import ChainConfig, ChainRunner, HeuristicSearch, profile_single_pairs
+from repro.core import ChainConfig, HeuristicSearch, profile_single_pairs
 from repro.api import scaled_cluster, scaled_job
+from repro.runner import SweepChainRunner
 from repro.virt import SchedulerPair
 from repro.workloads import SORT
 
@@ -25,7 +26,7 @@ def main() -> None:
         jobs=(scaled_job(SORT, scale), scaled_job(SORT, scale)),
         seeds=(0,),
     )
-    runner = ChainRunner(config)
+    runner = SweepChainRunner(config)
     space = len(CANDIDATES) ** config.n_phases
     print(
         f"chain: sort -> sort (two-pass), {config.n_phases} phases, "

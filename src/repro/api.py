@@ -1,7 +1,7 @@
 """The stable public facade: build a scenario, simulate it, sweep it.
 
 Everything the examples and experiment kinds used to wire by hand —
-``scaled_testbed`` → ``JobRunner`` → ``SweepRunner`` — is reachable
+``scaled_testbed`` → ``run_job`` → ``SweepRunner`` — is reachable
 through three names:
 
 * :class:`Scenario` — a declarative description of one simulated

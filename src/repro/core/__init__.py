@@ -6,11 +6,16 @@ Public surface::
     meta = AdaptiveMetaScheduler(config)
     report = meta.report()
     print(report.summary())
+
+Plans are evaluated only through the sweep-backed plan runners
+(:class:`~repro.runner.SweepJobRunner`/:class:`~repro.runner.SweepChainRunner`,
+the meta-scheduler's default); :func:`run_job`/:func:`run_chain` are
+the single simulated runs behind their ``job``/``chain`` specs.
 """
 
 from .bruteforce import BruteForceSearch, enumerate_solutions
-from .chains import ChainConfig, ChainOutcome, ChainRunner
-from .experiment import JobRunner, RunOutcome, TestbedConfig
+from .chains import ChainConfig, ChainOutcome, run_chain
+from .experiment import RunOutcome, TestbedConfig, run_job
 from .heuristic import (
     HeuristicSearch,
     ProfiledScores,
@@ -28,12 +33,10 @@ __all__ = [
     "BruteForceSearch",
     "ChainConfig",
     "ChainOutcome",
-    "ChainRunner",
     "OnlineController",
     "OnlinePolicy",
     "Regime",
     "HeuristicSearch",
-    "JobRunner",
     "ProfiledScores",
     "RunOutcome",
     "SearchResult",
@@ -44,4 +47,6 @@ __all__ = [
     "TestbedConfig",
     "enumerate_solutions",
     "profile_single_pairs",
+    "run_chain",
+    "run_job",
 ]

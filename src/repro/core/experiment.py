@@ -7,9 +7,10 @@ over the configured seeds ("average of three consecutive runs").
 
 :func:`assemble_job` is the one place a single-job testbed is wired
 (environment, cluster, network, HDFS, job, then the fault injector);
-:meth:`JobRunner.execute_once` is the one single-job run path, with
-optional faults and online controller carried on the
-:class:`TestbedConfig`.
+:func:`run_job` is the one single-job run path, with optional faults
+and online controller carried on the :class:`TestbedConfig`.  Plans
+are evaluated over seeds, and memoised, by
+:class:`~repro.runner.adapter.SweepJobRunner`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from ..net.topology import Topology
 from ..sim.core import Environment
 from ..sim.tracing import TraceBus
 from ..virt.cluster import ClusterConfig, VirtualCluster
-from ..virt.pair import SchedulerPair
 from ..workloads.sysbench import SysbenchSeqWrite
 from .solution import Solution
 
@@ -40,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "TestbedConfig",
     "RunOutcome",
-    "JobRunner",
+    "run_job",
     "JobAssembly",
     "assemble_cluster",
     "assemble_job",
@@ -199,127 +199,93 @@ def _static_ctrl_report(ctrl: "CtrlConfig", n_phases: int) -> Dict:
     }
 
 
-class JobRunner:
-    """Executes plans on freshly built testbeds and caches outcomes."""
+def run_job(testbed: TestbedConfig, solution: Solution, seed: int,
+            trace: Optional[TraceBus] = None) -> Tuple[JobResult, float]:
+    """One simulated run of ``solution``: ``(job result, switch stall)``.
 
-    def __init__(self, config: TestbedConfig,
-                 trace: Optional[TraceBus] = None):
-        self.config = config
-        #: Optional bus every run publishes to (instrumented runs).
-        self.trace = trace
-        self._cache: Dict[Solution, RunOutcome] = {}
-        self.runs_executed = 0
-
-    # -- public API ---------------------------------------------------------------
-    def run_uniform(self, pair: SchedulerPair) -> RunOutcome:
-        return self.run_plan(Solution.uniform(pair, self.config.n_phases))
-
-    def run_plan(self, solution: Solution) -> RunOutcome:
-        if len(solution) != self.config.n_phases:
-            raise ValueError(
-                f"plan has {len(solution)} phases, testbed expects "
-                f"{self.config.n_phases}"
-            )
-        cached = self._cache.get(solution)
-        if cached is not None:
-            return cached
-        results: List[JobResult] = []
-        stalls: List[float] = []
-        for seed in self.config.seeds:
-            result, stall = self.execute_once(solution, seed)
-            results.append(result)
-            stalls.append(stall)
-        outcome = RunOutcome(solution=solution, results=results,
-                             switch_stalls=stalls)
-        self._cache[solution] = outcome
-        return outcome
-
-    def score(self, solution: Solution) -> float:
-        """The paper's ``Hadoop_time``: mean job duration for a plan."""
-        return self.run_plan(solution).mean_duration
-
-    # -- one simulated run -------------------------------------------------------------
-    def execute_once(self, solution: Solution, seed: int) -> Tuple[JobResult, float]:
-        """One uncached simulated run: ``(job result, switch stall)``.
-
-        With ``config.ctrl`` set, the online controller (not the plan)
-        switches pairs, so the plan must be the uniform plan of
-        ``ctrl.initial``; its report lands in ``result.ctrl``.
-        """
-        cfg = self.config
-        ctrl = cfg.ctrl
-        if ctrl is not None and solution != ctrl.solution(cfg.n_phases):
-            raise ValueError(
-                f"a controlled run takes the uniform plan of its initial "
-                f"pair {ctrl.initial!r}, got [{solution}]: two switch "
-                "drivers cannot act on one run"
-            )
-        self.runs_executed += 1
-        controlled = ctrl is not None and ctrl.policy is not None
-        trace = self.trace
-        if trace is None and controlled:
-            trace = TraceBus()  # the controller's private signal bus
-        parts = assemble_job(
-            cfg.cluster.with_(initial_pair=solution.assignments[0]), cfg.job,
-            seed=seed, trace=trace, fault_plan=cfg.faults,
-            replication=cfg.job.replication,
+    With ``testbed.ctrl`` set, the online controller (not the plan)
+    switches pairs, so the plan must be the uniform plan of
+    ``ctrl.initial``; its report lands in ``result.ctrl``.  ``trace``
+    is the bus every component publishes to (instrumented runs).
+    """
+    if len(solution) != testbed.n_phases:
+        raise ValueError(
+            f"plan has {len(solution)} phases, testbed expects "
+            f"{testbed.n_phases}"
         )
-        env, cluster = parts.env, parts.cluster
-        proc = parts.start()
-
-        stall_total = [0.0]
-        if solution.n_switches > 0:
-            env.process(self._switcher(env, cluster, parts.job, solution,
-                                       stall_total))
-        controller = self._attach_controller(env, cluster, trace) \
-            if controlled else None
-        if ctrl is not None and ctrl.interference_bytes > 0:
-            # Background co-tenant write stream (fig-ctrl's interference
-            # condition); it may still be running when the job completes.
-            SysbenchSeqWrite(env, cluster,
-                             total_bytes=ctrl.interference_bytes).start()
-
-        env.run(until=proc)
-        result: JobResult = proc.value
-        # Backend counters ride on the result; all-HDD clusters report
-        # nothing, so their payloads stay bit-identical.
-        result.storage = cluster.storage_stats()
-        if controller is not None:
-            controller.policy.learn(result.duration)
-            result.ctrl = controller.report()
-            result.ctrl["state"] = [
-                list(row) for row in controller.policy.export_state()
-            ]
-            return result, controller.switch_stall
-        if ctrl is not None:
-            result.ctrl = _static_ctrl_report(ctrl, cfg.n_phases)
-        return result, stall_total[0]
-
-    def _attach_controller(self, env, cluster, bus: TraceBus):
-        """The online adaptive controller ``config.ctrl`` describes."""
-        # Imported here: repro.ctrl imports the core package.
-        from ..ctrl import SIGNAL_TOPICS, OnlineAdaptiveController, make_policy
-        from ..obs.metrics import TraceMetrics
-
-        ctrl = self.config.ctrl
-        metrics = TraceMetrics()
-        metrics.attach(bus, topics=SIGNAL_TOPICS)
-        policy = make_policy(ctrl, rng=cluster.rng.stream("ctrl.bandit"))
-        return OnlineAdaptiveController(
-            env, cluster, bus, metrics.registry, policy, ctrl,
-            n_phases=self.config.n_phases,
+    ctrl = testbed.ctrl
+    if ctrl is not None and solution != ctrl.solution(testbed.n_phases):
+        raise ValueError(
+            f"a controlled run takes the uniform plan of its initial "
+            f"pair {ctrl.initial!r}, got [{solution}]: two switch "
+            "drivers cannot act on one run"
         )
+    controlled = ctrl is not None and ctrl.policy is not None
+    if trace is None and controlled:
+        trace = TraceBus()  # the controller's private signal bus
+    parts = assemble_job(
+        testbed.cluster.with_(initial_pair=solution.assignments[0]),
+        testbed.job, seed=seed, trace=trace, fault_plan=testbed.faults,
+        replication=testbed.job.replication,
+    )
+    env, cluster = parts.env, parts.cluster
+    proc = parts.start()
 
-    def _switcher(self, env, cluster, job: MapReduceJob, solution: Solution,
-                  stall_total):
-        """Fires the plan's switches at the phase boundaries."""
-        boundaries = [job.maps_done_event]
-        if self.config.n_phases == 3:
-            boundaries.append(job.shuffle_done_event)
-        for boundary, assignment in zip(boundaries, solution.assignments[1:]):
-            yield boundary
-            if assignment is None:
-                continue
-            start = env.now
-            yield cluster.set_pair(assignment)
-            stall_total[0] += env.now - start
+    stall_total = [0.0]
+    if solution.n_switches > 0:
+        env.process(_switcher(env, cluster, parts.job, testbed.n_phases,
+                              solution, stall_total))
+    controller = _attach_controller(env, cluster, trace, testbed) \
+        if controlled else None
+    if ctrl is not None and ctrl.interference_bytes > 0:
+        # Background co-tenant write stream (fig-ctrl's interference
+        # condition); it may still be running when the job completes.
+        SysbenchSeqWrite(env, cluster,
+                         total_bytes=ctrl.interference_bytes).start()
+
+    env.run(until=proc)
+    result: JobResult = proc.value
+    # Backend counters ride on the result; all-HDD clusters report
+    # nothing, so their payloads stay bit-identical.
+    result.storage = cluster.storage_stats()
+    if controller is not None:
+        controller.policy.learn(result.duration)
+        result.ctrl = controller.report()
+        result.ctrl["state"] = [
+            list(row) for row in controller.policy.export_state()
+        ]
+        return result, controller.switch_stall
+    if ctrl is not None:
+        result.ctrl = _static_ctrl_report(ctrl, testbed.n_phases)
+    return result, stall_total[0]
+
+
+def _attach_controller(env, cluster, bus: TraceBus, testbed: TestbedConfig):
+    """The online adaptive controller ``testbed.ctrl`` describes."""
+    # Imported here: repro.ctrl imports the core package.
+    from ..ctrl import SIGNAL_TOPICS, OnlineAdaptiveController, make_policy
+    from ..obs.metrics import TraceMetrics
+
+    ctrl = testbed.ctrl
+    metrics = TraceMetrics()
+    metrics.attach(bus, topics=SIGNAL_TOPICS)
+    policy = make_policy(ctrl, rng=cluster.rng.stream("ctrl.bandit"))
+    return OnlineAdaptiveController(
+        env, cluster, bus, metrics.registry, policy, ctrl,
+        n_phases=testbed.n_phases,
+    )
+
+
+def _switcher(env, cluster, job: MapReduceJob, n_phases: int,
+              solution: Solution, stall_total):
+    """Fires the plan's switches at the phase boundaries."""
+    boundaries = [job.maps_done_event]
+    if n_phases == 3:
+        boundaries.append(job.shuffle_done_event)
+    for boundary, assignment in zip(boundaries, solution.assignments[1:]):
+        yield boundary
+        if assignment is None:
+            continue
+        start = env.now
+        yield cluster.set_pair(assignment)
+        stall_total[0] += env.now - start

@@ -10,12 +10,15 @@ adaptive plan next to the paper's two baselines — the default
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..virt.pair import DEFAULT_PAIR, SchedulerPair, all_pairs
-from .experiment import JobRunner, TestbedConfig
+from .experiment import TestbedConfig
 from .heuristic import HeuristicSearch, ProfiledScores, SearchResult, profile_single_pairs
 from .solution import Solution
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..runner.adapter import SweepJobRunner
 
 __all__ = ["AdaptiveMetaScheduler", "AdaptiveReport"]
 
@@ -59,11 +62,16 @@ class AdaptiveMetaScheduler:
         self,
         config: TestbedConfig,
         pairs: Optional[Sequence[SchedulerPair]] = None,
-        runner: Optional[JobRunner] = None,
+        runner: Optional["SweepJobRunner"] = None,
     ):
         self.config = config
         self.pairs = list(pairs) if pairs is not None else all_pairs()
-        self.runner = runner or JobRunner(config)
+        if runner is None:
+            # Imported here: repro.runner imports the core package.
+            from ..runner.adapter import SweepJobRunner
+
+            runner = SweepJobRunner(config)
+        self.runner = runner
         self._scores: Optional[ProfiledScores] = None
         self._search: Optional[SearchResult] = None
 

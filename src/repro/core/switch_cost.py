@@ -104,22 +104,18 @@ class SwitchCostMeter:
             self.cluster_config = self.cluster_config.with_(hosts=1)
         self.nbytes = nbytes
         self.seeds = tuple(seeds)
-        #: Optional :class:`repro.runner.SweepRunner` for parallel/cached runs.
+        if not self.seeds:
+            raise ValueError("at least one seed required")
+        if sweep is None:
+            # Imported here: repro.runner imports the core package.
+            from ..runner.sweep import default_runner
+
+            sweep = default_runner()
+        #: The :class:`repro.runner.SweepRunner` every dd run goes
+        #: through; its memo is the only result cache.
         self.sweep = sweep
-        self._pure_cache: Dict[SchedulerPair, float] = {}
-        self._transition_cache: Dict[
-            Tuple[SchedulerPair, SchedulerPair], float
-        ] = {}
 
     # -- runs ------------------------------------------------------------------
-    def _run(self, pair: SchedulerPair, seed: int,
-             switch_to: Optional[SchedulerPair] = None,
-             switch_at: Optional[float] = None) -> float:
-        return run_dd_once(
-            self.cluster_config, pair, seed, self.nbytes,
-            switch_to=switch_to, switch_at=switch_at,
-        )
-
     def _spec(self, pair: SchedulerPair, seed: int,
               switch_to: Optional[SchedulerPair] = None,
               switch_at: Optional[float] = None):
@@ -136,36 +132,42 @@ class SwitchCostMeter:
             label=f"{tag} seed={seed}",
         )
 
+    def _mean_elapsed(self, specs) -> float:
+        return mean(p["elapsed"] for p in self.sweep.run_specs(specs))
+
+    def _transition_specs(self, src: SchedulerPair,
+                          dst: SchedulerPair) -> list:
+        # The switch fires halfway through the shorter pure run.
+        switch_at = min(self.pure_time(src), self.pure_time(dst)) / 2.0
+        return [self._spec(src, seed, switch_to=dst, switch_at=switch_at)
+                for seed in self.seeds]
+
     def pure_time(self, pair: SchedulerPair) -> float:
         """Mean dd elapsed time under a single pair."""
-        cached = self._pure_cache.get(pair)
-        if cached is None:
-            cached = mean(self._run(pair, seed) for seed in self.seeds)
-            self._pure_cache[pair] = cached
-        return cached
+        return self._mean_elapsed([self._spec(pair, s) for s in self.seeds])
 
     def transition_cost(self, src: SchedulerPair, dst: SchedulerPair) -> float:
         """Cost_switch for ``src → dst`` per the paper's formula."""
-        cached = self._transition_cache.get((src, dst))
-        if cached is not None:
-            return cached
-        t1 = self.pure_time(src)
-        t2 = self.pure_time(dst)
-        switch_at = min(t1, t2) / 2.0
-        t_both = mean(
-            self._run(src, seed, switch_to=dst, switch_at=switch_at)
-            for seed in self.seeds
-        )
-        cost = t_both - (t1 + t2) / 2.0
-        self._transition_cache[(src, dst)] = cost
-        return cost
+        t_both = self._mean_elapsed(self._transition_specs(src, dst))
+        return t_both - (self.pure_time(src) + self.pure_time(dst)) / 2.0
 
     def matrix(
         self, pairs: Optional[Sequence[SchedulerPair]] = None
     ) -> SwitchCostMatrix:
+        """All ``S²`` costs, measured in two parallel waves.
+
+        The transition runs need the pure times, so the pure grid is
+        one batch and the transition grid a second; the reads below are
+        then sweep-memo hits.
+        """
         pairs = list(pairs) if pairs is not None else all_pairs()
-        if self.sweep is not None:
-            self._prefetch(pairs)
+        self.sweep.run_specs(
+            [self._spec(pair, s) for pair in pairs for s in self.seeds]
+        )
+        self.sweep.run_specs([
+            spec for src in pairs for dst in pairs
+            for spec in self._transition_specs(src, dst)
+        ])
         costs = {
             (src, dst): self.transition_cost(src, dst)
             for src in pairs
@@ -175,38 +177,6 @@ class SwitchCostMeter:
             costs=costs,
             pure_times={p: self.pure_time(p) for p in pairs},
         )
-
-    def _prefetch(self, pairs: Sequence[SchedulerPair]) -> None:
-        """Two batched passes through the sweep runner.
-
-        The transition runs need the pure times (the switch fires at
-        half the shorter pure run), so the pure grid is one parallel
-        batch and the ``S²`` transition grid a second.
-        """
-        pure_specs = [
-            self._spec(pair, seed) for pair in pairs for seed in self.seeds
-        ]
-        payloads = self.sweep.run_specs(pure_specs)
-        it = iter(payloads)
-        for pair in pairs:
-            self._pure_cache[pair] = mean(
-                next(it)["elapsed"] for _ in self.seeds
-            )
-        transition_specs = []
-        for src in pairs:
-            for dst in pairs:
-                switch_at = min(self.pure_time(src), self.pure_time(dst)) / 2.0
-                transition_specs.extend(
-                    self._spec(src, seed, switch_to=dst, switch_at=switch_at)
-                    for seed in self.seeds
-                )
-        results = iter(self.sweep.run_specs(transition_specs))
-        for src in pairs:
-            for dst in pairs:
-                t_both = mean(next(results)["elapsed"] for _ in self.seeds)
-                self._transition_cache[(src, dst)] = (
-                    t_both - (self.pure_time(src) + self.pure_time(dst)) / 2.0
-                )
 
 
 class SwitchCostModel:

@@ -1,6 +1,6 @@
 """The online adaptive controller: live signals → boundaries → switches.
 
-Unlike the offline path (:class:`~repro.core.experiment.JobRunner`'s
+Unlike the offline path (:func:`~repro.core.experiment.run_job`'s
 ``_switcher``), which is handed the job's own phase-boundary events,
 this controller learns the boundaries the way a real daemon would —
 from the trace topics the simulation already publishes:

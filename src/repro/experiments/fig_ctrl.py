@@ -90,7 +90,6 @@ def _offline_plan(scale: float, seeds: Sequence[int],
         scaled_testbed(SORT, scale=scale, seeds=seeds), sweep,
         label="fig-ctrl offline",
     )
-    runner.prefetch_uniform(pairs)
     scores = profile_single_pairs(runner, pairs)
     result = HeuristicSearch(runner, scores, pairs).search()
     return list(plan_labels(result.solution))

@@ -1,18 +1,18 @@
-"""JobRunner/ChainRunner-compatible facades over a :class:`SweepRunner`.
+"""The plan runners: the one way a job or chain plan is evaluated.
 
 The adaptive machinery (``profile_single_pairs``, ``HeuristicSearch``,
 ``AdaptiveMetaScheduler``) drives a runner one plan at a time — an
-inherently sequential control flow.  These adapters keep that interface
-while routing every underlying simulation through the sweep runner, so
-each evaluation parallelises across seeds, repeats hit the memo/disk
-cache, and a batch of plans can be *prefetched* in one parallel wave
-before the sequential logic reads them back.
+inherently sequential control flow.  These runners route every
+underlying simulation (one ``job``/``chain`` spec per seed) through the
+sweep runner, so each evaluation parallelises across seeds, repeats hit
+the memo/disk cache, and a batch of plans can be *prefetched* in one
+parallel wave before the sequential logic reads them back.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, List, Sequence
 
 from ..core.chains import ChainConfig, ChainOutcome
 from ..core.experiment import RunOutcome, TestbedConfig
@@ -40,16 +40,11 @@ class _SweepRunnerBase:
         prefix = f"{self.label} " if self.label else ""
         return f"{prefix}[{solution}] seed={seed}"
 
-    # -- JobRunner-compatible surface -------------------------------------------------
+    # -- plan evaluation ----------------------------------------------------------------
     def run_uniform(self, pair: SchedulerPair):
         return self.run_plan(Solution.uniform(pair, self.config.n_phases))
 
     def run_plan(self, solution: Solution):
-        if len(solution) != self.config.n_phases:
-            raise ValueError(
-                f"plan has {len(solution)} phases, testbed expects "
-                f"{self.config.n_phases}"
-            )
         cached = self._outcomes.get(solution)
         if cached is not None:
             return cached
@@ -66,16 +61,9 @@ class _SweepRunnerBase:
         raise NotImplementedError
 
     # -- batching -------------------------------------------------------------------
-    def prefetch(self, solutions: Iterable[Solution]) -> None:
-        """Run many plans in one parallel wave (results memoised)."""
-        self.sweep.run_specs(
-            [spec for sol in solutions for spec in self.specs_for(sol)]
-        )
-
     def prefetch_uniform(self, pairs: Sequence[SchedulerPair]) -> None:
-        self.prefetch(
-            Solution.uniform(pair, self.config.n_phases) for pair in pairs
-        )
+        """Run every uniform plan in one parallel wave (results memoised)."""
+        self.sweep.run_specs(self.uniform_specs(pairs))
 
     def uniform_specs(self, pairs: Sequence[SchedulerPair]) -> List[RunSpec]:
         return [
@@ -88,7 +76,7 @@ class _SweepRunnerBase:
 
 
 class SweepJobRunner(_SweepRunnerBase):
-    """Drop-in :class:`~repro.core.experiment.JobRunner` over the sweep."""
+    """Evaluates single-job plans (``job`` specs) over the sweep."""
 
     config: TestbedConfig
 
@@ -113,7 +101,7 @@ class SweepJobRunner(_SweepRunnerBase):
 
 
 class SweepChainRunner(_SweepRunnerBase):
-    """Drop-in :class:`~repro.core.chains.ChainRunner` over the sweep."""
+    """Evaluates job-chain plans (``chain`` specs) over the sweep."""
 
     config: ChainConfig
 

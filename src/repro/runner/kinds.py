@@ -27,11 +27,10 @@ Every single-job kind builds its testbed with
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Callable, Dict, Tuple
 
-from ..core.chains import ChainRunner
-from ..core.experiment import JobRunner, assemble_cluster, assemble_job
+from ..core.chains import run_chain
+from ..core.experiment import assemble_cluster, assemble_job, run_job
 from ..core.online import OnlineController, OnlinePolicy
 from ..core.switch_cost import run_dd_once
 from ..hdfs.namenode import NameNode
@@ -178,8 +177,7 @@ def _execute_job(config, seed: int,
     carries a :class:`~repro.ctrl.config.CtrlConfig`.
     """
     testbed, solution = config
-    runner = JobRunner(testbed.with_(seeds=(seed,)), trace=trace)
-    result, stall = runner.execute_once(solution, seed)
+    result, stall = run_job(testbed, solution, seed, trace=trace)
     payload = encode_job_result(result, stall)
     if testbed.faults is not None:
         payload["faults"] = {k: result.fault_stats[k]
@@ -267,9 +265,8 @@ def _run_multi_job(config, seed: int) -> Dict[str, Any]:
 def _run_chain(config, seed: int) -> Dict[str, Any]:
     """config = (ChainConfig, Solution)."""
     chain_config, solution = config
-    runner = ChainRunner(replace(chain_config, seeds=(seed,)),
-                         trace=capture.current_bus())
-    duration, phases = runner.execute_once(solution, seed)
+    duration, phases = run_chain(chain_config, solution, seed,
+                                 trace=capture.current_bus())
     return {"duration": duration, "phases": list(phases)}
 
 

@@ -2,7 +2,7 @@
 
 The facade must be a veneer, not a fork: a ``Scenario`` lowers to the
 same :class:`RunSpec` (same cache key), and :func:`simulate` produces
-the same payload, as the hand-wired ``JobRunner``/``execute_spec``
+the same payload, as the hand-wired ``run_job``/``execute_spec``
 paths it replaces.
 """
 
@@ -23,7 +23,7 @@ from repro.api import (
     simulate,
     sweep,
 )
-from repro.core.experiment import JobRunner
+from repro.core.experiment import run_job
 from repro.core.solution import Solution
 from repro.faults.presets import LIGHT
 from repro.runner.adapter import SweepJobRunner
@@ -108,9 +108,8 @@ def test_simulate_matches_direct_jobrunner():
         _reset_run_ids()
         testbed = scaled_testbed(SORT, scale=0.05, hosts=2, vms_per_host=2,
                                  seeds=(0,))
-        runner = JobRunner(testbed.with_(faults=faults))
-        result, stall = runner.execute_once(
-            Solution.uniform(DEFAULT_PAIR, 2), 0)
+        result, stall = run_job(testbed.with_(faults=faults),
+                                Solution.uniform(DEFAULT_PAIR, 2), 0)
         expected = encode_job_result(result, stall)
         if faults is not None:
             expected["faults"] = result.fault_stats

@@ -1,9 +1,8 @@
-"""Shared fixtures: a tiny testbed so core tests stay fast."""
+"""Shared helpers: a tiny testbed and a serial sweep so core tests stay fast."""
 
-import pytest
-
-from repro.core import JobRunner, TestbedConfig
+from repro.core import TestbedConfig
 from repro.mapreduce import MB, JobConfig
+from repro.runner import SweepJobRunner, SweepRunner
 from repro.virt import ClusterConfig, PageCacheParams, SchedulerPair
 from repro.workloads import SORT
 
@@ -31,14 +30,14 @@ def tiny_testbed(seeds=(0,), n_phases=2, **job_overrides):
                          n_phases=n_phases)
 
 
-@pytest.fixture
-def testbed():
-    return tiny_testbed()
+def serial_sweep():
+    """A private in-process sweep: no worker pool, no on-disk cache."""
+    return SweepRunner(jobs=1, use_cache=False)
 
 
-@pytest.fixture
-def runner(testbed):
-    return JobRunner(testbed)
+def local_runner(config):
+    """A plan runner over its own :func:`serial_sweep`."""
+    return SweepJobRunner(config, serial_sweep())
 
 
 #: A small pair subset used by search tests (4 plans at P=2 -> 16).

@@ -1,13 +1,14 @@
-"""Tests for the JobRunner harness (plans, caching, switching)."""
+"""Tests for the job harness (plans, caching, switching)."""
 
 import pytest
 
-from repro.core import JobRunner, Solution, TestbedConfig
+from repro.core import ChainConfig, Solution, TestbedConfig
 from repro.mapreduce import JobConfig, MB
+from repro.runner import RunSpec, SweepJobRunner, execute_spec
 from repro.virt import ClusterConfig, SchedulerPair
 from repro.workloads import SORT
 
-from .conftest import tiny_testbed
+from .conftest import local_runner, tiny_testbed
 
 CC = SchedulerPair("cfq", "cfq")
 AD = SchedulerPair("anticipatory", "deadline")
@@ -15,7 +16,7 @@ DD = SchedulerPair("deadline", "deadline")
 
 
 def test_uniform_run_produces_results_per_seed():
-    runner = JobRunner(tiny_testbed(seeds=(0, 1)))
+    runner = local_runner(tiny_testbed(seeds=(0, 1)))
     outcome = runner.run_uniform(CC)
     assert len(outcome.results) == 2
     assert outcome.mean_duration > 0
@@ -25,21 +26,24 @@ def test_uniform_run_produces_results_per_seed():
 
 
 def test_runner_caches_identical_plans():
-    runner = JobRunner(tiny_testbed())
+    runner = local_runner(tiny_testbed())
     runner.run_uniform(CC)
-    n = runner.runs_executed
+    n = runner.sweep.stats.executed
     runner.run_uniform(CC)
-    assert runner.runs_executed == n
+    assert runner.sweep.stats.executed == n
+    # A second runner on the same sweep is served by the sweep memo.
+    SweepJobRunner(runner.config, runner.sweep).run_uniform(CC)
+    assert runner.sweep.stats.executed == n
 
 
 def test_score_equals_mean_duration():
-    runner = JobRunner(tiny_testbed())
+    runner = local_runner(tiny_testbed())
     plan = Solution.uniform(CC, 2)
     assert runner.score(plan) == runner.run_plan(plan).mean_duration
 
 
 def test_plan_with_switch_executes_and_pays_stall():
-    runner = JobRunner(tiny_testbed())
+    runner = local_runner(tiny_testbed())
     outcome = runner.run_plan(Solution((CC, AD)))
     assert outcome.mean_duration > 0
     # The phase-2 switch stalled the devices for a measurable time.
@@ -47,27 +51,43 @@ def test_plan_with_switch_executes_and_pays_stall():
 
 
 def test_uniform_plan_has_zero_stall():
-    runner = JobRunner(tiny_testbed())
+    runner = local_runner(tiny_testbed())
     outcome = runner.run_plan(Solution((CC, None)))
     assert all(stall == 0 for stall in outcome.switch_stalls)
 
 
 def test_plan_phase_count_must_match():
-    runner = JobRunner(tiny_testbed(n_phases=2))
+    runner = local_runner(tiny_testbed(n_phases=2))
     with pytest.raises(ValueError):
         runner.run_plan(Solution((CC, AD, DD)))
 
 
+_TB = tiny_testbed()
+_CHAIN = ChainConfig(cluster=_TB.cluster, jobs=(_TB.job, _TB.job))
+
+
+@pytest.mark.parametrize("kind,config", [
+    ("job", (_TB, Solution((CC, AD, DD)))),
+    ("job", (_TB, Solution((CC,)))),
+    ("chain", (_CHAIN, Solution((CC, AD)))),
+    ("chain", (_CHAIN, Solution((CC, AD, DD, CC, AD, DD)))),
+], ids=["job-long", "job-short", "chain-short", "chain-long"])
+def test_run_kinds_reject_wrong_plan_length(kind, config):
+    """The phase-count check guards specs, not just the plan runners."""
+    with pytest.raises(ValueError, match="phases"):
+        execute_spec(RunSpec(kind, 0, config))
+
+
 def test_three_phase_plans_supported():
-    runner = JobRunner(tiny_testbed(n_phases=3))
+    runner = local_runner(tiny_testbed(n_phases=3))
     outcome = runner.run_plan(Solution((CC, AD, DD)))
     assert outcome.mean_duration > 0
     assert len(outcome.mean_phases) == 3
 
 
 def test_deterministic_same_seed_same_score():
-    r1 = JobRunner(tiny_testbed())
-    r2 = JobRunner(tiny_testbed())
+    r1 = local_runner(tiny_testbed())
+    r2 = local_runner(tiny_testbed())
     assert r1.score(Solution.uniform(AD, 2)) == pytest.approx(
         r2.score(Solution.uniform(AD, 2))
     )

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import (
     ChainConfig,
-    ChainRunner,
     HeuristicSearch,
     OnlineController,
     OnlinePolicy,
@@ -14,11 +13,12 @@ from repro.core import (
 from repro.hdfs import NameNode
 from repro.mapreduce import MB, JobConfig, MapReduceJob
 from repro.net import Topology
+from repro.runner import SweepChainRunner
 from repro.sim import Environment
 from repro.virt import ClusterConfig, PageCacheParams, SchedulerPair, VirtualCluster
 from repro.workloads import SORT, WORDCOUNT
 
-from .conftest import SEARCH_PAIRS, tiny_testbed
+from .conftest import SEARCH_PAIRS, serial_sweep, tiny_testbed
 
 CC = SchedulerPair("cfq", "cfq")
 AD = SchedulerPair("anticipatory", "deadline")
@@ -109,7 +109,7 @@ def chain_runner():
         jobs=(small_job(WORDCOUNT), small_job(SORT)),
         seeds=(0,),
     )
-    return ChainRunner(config)
+    return SweepChainRunner(config, serial_sweep())
 
 
 def test_chain_has_two_phases_per_job(chain_runner):
@@ -138,9 +138,12 @@ def test_chain_wrong_phase_count_rejected(chain_runner):
 
 def test_chain_caching(chain_runner):
     chain_runner.run_uniform(CC)
-    n = chain_runner.runs_executed
+    n = chain_runner.sweep.stats.executed
     chain_runner.run_uniform(CC)
-    assert chain_runner.runs_executed == n
+    assert chain_runner.sweep.stats.executed == n
+    # A second runner on the same sweep is served by the sweep memo.
+    SweepChainRunner(chain_runner.config, chain_runner.sweep).run_uniform(CC)
+    assert chain_runner.sweep.stats.executed == n
 
 
 def test_heuristic_runs_on_chain(chain_runner):

@@ -4,9 +4,10 @@ import pytest
 
 from repro.core import AdaptiveMetaScheduler, AdaptiveReport, Solution
 from repro.core.heuristic import ProfiledScores
+from repro.runner import SweepJobRunner, default_runner
 from repro.virt import SchedulerPair
 
-from .conftest import SEARCH_PAIRS, tiny_testbed
+from .conftest import SEARCH_PAIRS, local_runner, tiny_testbed
 
 CC, AC, DC, NC = SEARCH_PAIRS
 
@@ -39,8 +40,20 @@ def test_summary_mentions_everything():
     assert "%" in text
 
 
+def meta_scheduler(pairs):
+    config = tiny_testbed()
+    return AdaptiveMetaScheduler(config, pairs=pairs,
+                                 runner=local_runner(config))
+
+
+def test_meta_scheduler_defaults_to_shared_sweep_runner():
+    meta = AdaptiveMetaScheduler(tiny_testbed())
+    assert isinstance(meta.runner, SweepJobRunner)
+    assert meta.runner.sweep is default_runner()
+
+
 def test_meta_scheduler_caches_profile_and_search():
-    meta = AdaptiveMetaScheduler(tiny_testbed(), pairs=SEARCH_PAIRS[:2])
+    meta = meta_scheduler(SEARCH_PAIRS[:2])
     p1 = meta.profile()
     p2 = meta.profile()
     assert p1 is p2
@@ -50,7 +63,7 @@ def test_meta_scheduler_caches_profile_and_search():
 
 
 def test_meta_scheduler_report_consistent_with_runner():
-    meta = AdaptiveMetaScheduler(tiny_testbed(), pairs=SEARCH_PAIRS[:2])
+    meta = meta_scheduler(SEARCH_PAIRS[:2])
     rep = meta.report()
     assert rep.adaptive_time <= rep.best_single_time * 1.05
     assert rep.evaluations >= len(SEARCH_PAIRS[:2])
@@ -63,7 +76,7 @@ def test_meta_scheduler_report_consistent_with_runner():
 def test_report_includes_default_even_outside_candidates():
     # Candidate set without (CFQ, CFQ): the default baseline must still
     # be measured for the comparison.
-    meta = AdaptiveMetaScheduler(tiny_testbed(), pairs=[AC, DC])
+    meta = meta_scheduler([AC, DC])
     rep = meta.report()
     assert rep.default_pair == CC
     assert rep.default_time > 0

@@ -4,7 +4,10 @@ import pytest
 
 from repro.core import SwitchCostMeter, SwitchCostModel
 from repro.mapreduce import MB
+from repro.runner import default_runner
 from repro.virt import ClusterConfig, PageCacheParams, SchedulerPair
+
+from .conftest import serial_sweep
 
 CC = SchedulerPair("cfq", "cfq")
 AD = SchedulerPair("anticipatory", "deadline")
@@ -22,16 +25,33 @@ SMALL_CLUSTER = ClusterConfig(
 )
 
 
+def small_meter():
+    return SwitchCostMeter(SMALL_CLUSTER, nbytes=48 * MB, seeds=(0,),
+                           sweep=serial_sweep())
+
+
 @pytest.fixture(scope="module")
 def meter():
-    return SwitchCostMeter(SMALL_CLUSTER, nbytes=48 * MB, seeds=(0,))
+    return small_meter()
 
 
 def test_pure_time_positive_and_cached(meter):
     t1 = meter.pure_time(CC)
+    n = meter.sweep.stats.executed
     t2 = meter.pure_time(CC)
     assert t1 > 0
     assert t1 == t2  # cached
+    assert meter.sweep.stats.executed == n
+    meter.matrix([CC, DD])
+    n = meter.sweep.stats.executed
+    meter.matrix([CC, DD])
+    assert meter.sweep.stats.executed == n  # a repeat simulates nothing
+
+
+def test_transition_cost_matches_matrix(meter):
+    """One-at-a-time and batched measurements agree exactly."""
+    assert meter.transition_cost(AD, DD) == \
+        small_meter().matrix([AD, DD]).cost(AD, DD)
 
 
 def test_transition_cost_nonzero(meter):
@@ -67,6 +87,15 @@ def test_matrix_shape_and_contents(meter):
 def test_meter_forces_single_host():
     meter = SwitchCostMeter(ClusterConfig(hosts=4, vms_per_host=2))
     assert meter.cluster_config.hosts == 1
+
+
+def test_meter_defaults_to_shared_sweep_runner():
+    assert SwitchCostMeter(SMALL_CLUSTER).sweep is default_runner()
+
+
+def test_meter_rejects_empty_seeds():
+    with pytest.raises(ValueError):
+        SwitchCostMeter(SMALL_CLUSTER, seeds=())
 
 
 # -- prediction model --------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.experiment import JobRunner
+from repro.core.experiment import run_job
 from repro.core.solution import Solution
 from repro.api import scaled_testbed
 from repro.faults import NO_FAULTS, DiskFaults, FaultPlan, VmFaults, get_preset
@@ -19,8 +19,8 @@ def small_testbed(seed):
 
 
 def run_once(seed, plan):
-    runner = JobRunner(small_testbed(seed).with_(faults=plan))
-    result, _ = runner.execute_once(Solution.uniform(DEFAULT_PAIR, 2), seed)
+    result, _ = run_job(small_testbed(seed).with_(faults=plan),
+                        Solution.uniform(DEFAULT_PAIR, 2), seed)
     return result
 
 

@@ -18,7 +18,7 @@ from collections import defaultdict
 
 import pytest
 
-from repro.core.experiment import JobRunner
+from repro.core.experiment import run_job
 from repro.core.solution import Solution
 from repro.api import scaled_testbed
 from repro.faults import (
@@ -61,13 +61,11 @@ def traced_run(seed, plan_name):
         for topic in ("fs.read", "fs.write", "disk.submit",
                       "disk.complete"):
             bus.record_topic(topic)
-        runner = JobRunner(
+        result, _ = run_job(
             scaled_testbed(SORT, scale=0.02, hosts=2, vms_per_host=2,
                            seeds=(seed,)).with_(faults=PLANS[plan_name]),
-            trace=bus,
+            Solution.uniform(DEFAULT_PAIR, 2), seed, trace=bus,
         )
-        result, _ = runner.execute_once(Solution.uniform(DEFAULT_PAIR, 2),
-                                        seed)
         _RUNS[key] = (result, bus)
     return _RUNS[key]
 

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.core.experiment import JobRunner
+from repro.core.experiment import RunOutcome, run_job
+from repro.core.solution import Solution
 from repro.api import scaled_cluster, scaled_testbed
 from repro.runner import (
     ResultCache,
@@ -147,7 +148,9 @@ def test_stats_snapshot_and_since(tmp_path):
 
 def test_adapter_matches_direct_job_runner_exactly(tmp_path):
     config = scaled_testbed(SORT, scale=0.02, seeds=(0,))
-    direct = JobRunner(config).run_uniform(DEFAULT_PAIR)
+    plan = Solution.uniform(DEFAULT_PAIR, config.n_phases)
+    direct = RunOutcome(plan, [run_job(config, plan, seed)[0]
+                               for seed in config.seeds])
     with SweepRunner(jobs=1, cache_dir=tmp_path) as sweep:
         adapted = SweepJobRunner(config, sweep).run_uniform(DEFAULT_PAIR)
     assert adapted.mean_duration == direct.mean_duration
