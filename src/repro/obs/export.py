@@ -17,7 +17,8 @@ from __future__ import annotations
 import json
 from collections import deque
 from pathlib import Path
-from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence
+from typing import (Any, Callable, Deque, Dict, Iterable, List, Optional,
+                    Sequence)
 
 from ..sim.tracing import TraceRecord
 
@@ -55,12 +56,41 @@ class TopicFilter:
         return any(topic.startswith(p) for p in self.prefixes)
 
 
+def _canonical_encoder() -> Callable[[Any], str]:
+    """``json.dumps(obj, sort_keys=True, separators=(",", ":"))``, built once.
+
+    ``json.dumps`` with ``sort_keys`` constructs a fresh ``JSONEncoder``
+    and a fresh C encoder on every call, which dominated the cost of
+    spilling a trace.  This builds the C ``iterencode`` once with the
+    same options (``ensure_ascii``, ``allow_nan``, ``default``), so the
+    bytes are unchanged.  It skips the circular-reference check: records
+    are trees, and a marker left behind by a failed encode would
+    otherwise outlive the call.  Without the C accelerator, or if it
+    cannot be built, it falls back to a cached ``JSONEncoder.encode``.
+    """
+    encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+    make = getattr(json.encoder, "c_make_encoder", None)
+    if make is not None:
+        try:
+            iterencode = make(
+                None, encoder.default, json.encoder.encode_basestring_ascii,
+                encoder.indent, encoder.key_separator, encoder.item_separator,
+                encoder.sort_keys, encoder.skipkeys, encoder.allow_nan,
+            )
+        except Exception:
+            pass
+        else:
+            return lambda obj: "".join(iterencode(obj, 0))
+    return encoder.encode
+
+
+_encode = _canonical_encoder()
+
+
 def encode_record(record: TraceRecord) -> str:
     """Canonical one-line JSON for a record (byte-stable re-export)."""
-    return json.dumps(
-        {"time": record.time, "topic": record.topic, "payload": record.payload},
-        sort_keys=True,
-        separators=(",", ":"),
+    return _encode(
+        {"time": record.time, "topic": record.topic, "payload": record.payload}
     )
 
 

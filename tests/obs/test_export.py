@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.obs import export
 from repro.obs.export import (
     JsonlTraceWriter,
     TopicFilter,
@@ -72,6 +73,43 @@ def test_writer_rejects_nonpositive_cap():
 def test_encode_decode_roundtrip():
     for record in SAMPLE:
         assert decode_record(encode_record(record)) == record
+
+
+EDGE_PAYLOADS = [
+    {"b": 0.1 + 0.2, "a": -0.0, "c": 1e300, "d": 5e-324, "e": 2 ** 70},
+    {"name": "caf\u00e9 \u2192 \U0001f600", "quote": 'a"b\\c\n'},
+    {"nan": float("nan"), "inf": float("inf"), "ninf": float("-inf")},
+    {"nested": {"z": [1, 2.5, None, True, False], "a": {}}, "empty": []},
+    {2: "two", 10: "ten"},
+]
+
+
+def test_canonical_encoder_matches_json_dumps():
+    for record in SAMPLE + [rec(1.25, "x.y", **{"p": p}) for p in EDGE_PAYLOADS]:
+        obj = {"time": record.time, "topic": record.topic,
+               "payload": record.payload}
+        assert encode_record(record) == json.dumps(
+            obj, sort_keys=True, separators=(",", ":"))
+
+
+def test_fallback_encoder_gives_the_same_bytes(monkeypatch):
+    fast = export._canonical_encoder()
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    slow = export._canonical_encoder()
+    assert isinstance(slow.__self__, json.JSONEncoder)  # the cached encode
+    for payload in EDGE_PAYLOADS + [r.payload for r in SAMPLE]:
+        obj = {"time": 0.5, "topic": "t", "payload": payload}
+        assert fast(obj) == slow(obj)
+
+
+def test_encoder_survives_an_unencodable_record():
+    bad = rec(0.0, "x.y", handle=object())
+    with pytest.raises(TypeError):
+        encode_record(bad)
+    # No state leaks from the failed call into the next one.
+    assert encode_record(SAMPLE[1]) == json.dumps(
+        {"time": 0.0, "topic": "disk.submit", "payload": SAMPLE[1].payload},
+        sort_keys=True, separators=(",", ":"))
 
 
 def test_jsonl_reexport_is_byte_identical(tmp_path):

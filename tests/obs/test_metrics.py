@@ -112,6 +112,46 @@ def test_trace_metrics_disk_lifecycle():
     assert hist["mean"] == pytest.approx(0.5)
 
 
+def test_trace_metrics_disk_keys_appear_per_topic_seen():
+    # Device x only submits; y submits, completes (with a merge) and
+    # services.  The per-device metric handles are created lazily, so x
+    # must not gain completion or latency keys.
+    tm = TraceMetrics().replay([
+        rec(0.0, "disk.submit", device="x", rid=1),
+        rec(0.25, "disk.submit", device="y", rid=7),
+        rec(0.5, "disk.submit", device="y", rid=8),
+        rec(0.5, "disk.submit", device="x", rid=2),
+        rec(1.0, "disk.service", device="y", service=0.75, seek=0.5,
+            rotation=0.125, transfer=0.125),
+        rec(1.5, "disk.complete", device="y", rid=7, merged_rids=[8],
+            nbytes=8192),
+        rec(2.0, "disk.service", device="y", service=0.25, seek=0.0,
+            rotation=0.0625, transfer=0.1875),
+    ])
+    snap = tm.registry.snapshot()
+    counters, gauges, hists = snap["counters"], snap["gauges"], snap["histograms"]
+    assert sorted(k for k in counters if k.endswith("{device=x}")) == [
+        "disk.submitted{device=x}"]
+    assert "disk.latency{device=x}" not in hists
+    assert gauges["disk.queue_depth{device=x}"] == {"value": 2.0, "max": 2.0}
+
+    assert counters["disk.submitted{device=y}"] == 2.0
+    assert counters["disk.completed{device=y}"] == 2.0
+    assert counters["disk.merged{device=y}"] == 1.0
+    assert counters["disk.bytes{device=y}"] == 8192.0
+    assert counters["disk.busy_seconds{device=y}"] == 0.75 + 0.25
+    assert counters["disk.seek_seconds{device=y}"] == 0.5
+    assert counters["disk.rotation_seconds{device=y}"] == 0.125 + 0.0625
+    assert counters["disk.transfer_seconds{device=y}"] == 0.125 + 0.1875
+    assert gauges["disk.queue_depth{device=y}"] == {"value": 0.0, "max": 2.0}
+    latency = hists["disk.latency{device=y}"]
+    assert latency["count"] == 2
+    assert latency["sum"] == (1.5 - 0.25) + (1.5 - 0.5)
+    assert latency["buckets"][-1] == [5.0, 0] and latency["overflow"] == 0
+    assert dict((edge, n) for edge, n in latency["buckets"])[1.0] == 1
+    assert dict((edge, n) for edge, n in latency["buckets"])[2.0] == 1
+
+
 def test_trace_metrics_job_phases_and_faults():
     tm = TraceMetrics()
     tm.replay([
