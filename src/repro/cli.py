@@ -627,8 +627,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     if tracing:
+        try:
+            # A cap or window set in the shell still bounds the capture.
+            cap = capture.env_int(capture.ENV_TRACE_CAP)
+            window = capture.env_int(capture.ENV_TRACE_WINDOW)
+        except ValueError as exc:
+            print(f"repro: error: {exc}", file=sys.stderr)
+            return 2
         os.makedirs(args.trace_out, exist_ok=True)
-        capture.enable(args.trace_out, args.trace_topics)
+        capture.enable(args.trace_out, args.trace_topics, cap=cap,
+                       window=window)
     ok = True
     try:
         with sweep:
