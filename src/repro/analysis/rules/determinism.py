@@ -17,7 +17,7 @@ __all__ = ["SIM_PACKAGES", "WallClockRule", "RngRoutingRule", "UnorderedIteratio
 
 #: Sub-packages of ``repro`` that execute *inside* a simulation: code
 #: here must read only simulated time (``env.now``) and injected RNG
-#: streams.  The driver layers (cli, runner, bench, obs, api, metrics,
+#: streams.  The driver layers (cli, runner, obs, api, metrics,
 #: experiments, analysis) may read the host clock for progress output.
 SIM_PACKAGES = frozenset({
     "sim", "core", "ctrl", "disk", "iosched", "mapreduce", "virt", "hdfs",

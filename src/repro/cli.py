@@ -8,7 +8,6 @@ Usage::
     python -m repro fig8 --seeds 0 --trace-out traces/
     python -m repro report traces/ --chrome-out traces/job.chrome.json
     python -m repro run --controller hysteresis --ctrl-cost-budget 0.5
-    python -m repro bench --quick
     python -m repro lint --format json
 
 Each experiment prints the table/series of its paper artifact plus its
@@ -21,9 +20,6 @@ without simulating (``--no-cache`` disables the disk cache).
 ``DIR/<run>.trace.jsonl`` (plus a metrics snapshot); ``repro report``
 renders those artifacts — per-phase durations, per-device I/O, a phase
 timeline — and can re-export them as a Chrome/Perfetto trace.
-
-``repro bench`` times the canonical scenarios against their golden
-payload digests and writes ``BENCH_<rev>.json`` (see :mod:`repro.bench`).
 
 ``repro lint`` statically checks the source tree against the
 reproducibility contract — no wall clock or stray RNG in the simulation
@@ -586,10 +582,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return run_report(argv[1:])
     if argv and argv[0] == "run":
         return run_controlled(argv[1:])
-    if argv and argv[0] == "bench":
-        from .bench import main as bench_main
-
-        return bench_main(argv[1:])
     if argv and argv[0] == "lint":
         from .analysis.cli import main as lint_main
 

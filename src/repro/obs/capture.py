@@ -78,14 +78,19 @@ class CaptureConfig:
 
 
 def env_int(name: str) -> Optional[int]:
-    """Integer value of environment variable ``name``; ``None`` if unset."""
+    """Positive integer value of environment variable ``name``; ``None``
+    if unset.  Raises :class:`ValueError` naming the variable otherwise,
+    so a bad cap or window fails before any run starts."""
     raw = os.environ.get(name, "").strip()
     if not raw:
         return None
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
-        raise ValueError(f"${name} must be an integer, got {raw!r}") from None
+        value = None
+    if value is None or value < 1:
+        raise ValueError(f"${name} must be a positive integer, got {raw!r}")
+    return value
 
 
 def config_from_env() -> Optional[CaptureConfig]:

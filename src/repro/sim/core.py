@@ -29,13 +29,13 @@ class StopSimulation(Exception):
 
 
 #: When a census is active, every Environment constructed registers
-#: itself here so callers (the bench harness) can total the events
-#: processed across all environments a run created.
+#: itself here so callers (``api.simulate``, the perfbench benchmark)
+#: can total the events processed across all environments a run created.
 _census: Optional[List["Environment"]] = None
 
 
 def start_event_census() -> None:
-    """Begin collecting environments for an event count (bench harness)."""
+    """Begin collecting environments for an event count."""
     global _census
     _census = []
 
